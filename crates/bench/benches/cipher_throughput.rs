@@ -1,16 +1,43 @@
 //! Criterion bench for the cipher substrate itself: GIFT-64/128 bitwise
-//! versus table-driven throughput, and the countermeasure overhead the
-//! paper's §IV-C mentions (the extra output-nibble select of the wide-line
-//! S-box).
+//! versus table-driven throughput, the countermeasure overhead the paper's
+//! §IV-C mentions (the extra output-nibble select of the wide-line S-box),
+//! and the per-encryption arithmetic of the attack loop: `PermBits` and
+//! plaintext crafting at the first and the last stage.
+//!
+//! Set `GRINCH_BENCH_SMOKE=1` to shrink sampling for CI smoke runs.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::time::Duration;
+
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use gift_cipher::countermeasure::{FullScanGift64, PreloadGift64, WideLineGift64};
+use gift_cipher::permutation::permute_64;
 use gift_cipher::{Gift128, Gift64, Key, NullObserver, TableGift64, TableLayout};
+use grinch::craft::craft_plaintext;
+use grinch::target::{disjoint_batches, TargetSpec};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+fn smoke(group: &mut criterion::BenchmarkGroup<'_>) {
+    if std::env::var("GRINCH_BENCH_SMOKE").is_ok() {
+        group
+            .sample_size(3)
+            .measurement_time(Duration::from_millis(60));
+    }
+}
 
 fn bench_ciphers(c: &mut Criterion) {
     let key = Key::from_u128(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210);
     let mut group = c.benchmark_group("cipher_throughput");
+    smoke(&mut group);
     group.throughput(Throughput::Bytes(8));
+
+    group.bench_function("permute_64", |b| {
+        let mut state = 0u64;
+        b.iter(|| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            permute_64(black_box(state))
+        })
+    });
 
     let bitwise = Gift64::new(key);
     group.bench_function("gift64_bitwise_encrypt", |b| {
@@ -70,7 +97,27 @@ fn bench_ciphers(c: &mut Criterion) {
     });
     group.finish();
 
+    // One stage batch (four targets, sixteen constrained segments) per
+    // plaintext, as the attack crafts them; stage 4 also inverts the three
+    // known rounds.
+    let mut craft = c.benchmark_group("craft_plaintext");
+    smoke(&mut craft);
+    let reference = Gift64::new(key);
+    for stage in [1usize, 4] {
+        let specs: Vec<TargetSpec> = disjoint_batches(stage)[0]
+            .iter()
+            .map(|&s| TargetSpec::new(stage, s))
+            .collect();
+        let known = &reference.round_keys()[..stage - 1];
+        let mut rng = StdRng::seed_from_u64(stage as u64);
+        craft.bench_function(format!("stage{stage}"), |b| {
+            b.iter(|| craft_plaintext(&specs, known, &mut rng).unwrap())
+        });
+    }
+    craft.finish();
+
     let mut group128 = c.benchmark_group("gift128_throughput");
+    smoke(&mut group128);
     group128.throughput(Throughput::Bytes(16));
     let g128 = Gift128::new(key);
     group128.bench_function("gift128_bitwise_encrypt", |b| {

@@ -21,14 +21,24 @@ pub fn round_64(state: u64, rk: RoundKey64, round: usize) -> u64 {
     add_round_key_64(state, rk, round)
 }
 
-/// XORs a GIFT-64 round key and the round constant into the state.
+/// Moves bit `i` of `word` to bit `4i` in four shift-and-mask steps, each
+/// halving the width of the blocks still to be pulled apart: 8-bit blocks
+/// to 32-bit slots, then 4-bit blocks to 16-bit slots, 2-bit blocks to
+/// 8-bit slots and single bits to 4-bit slots.
+#[inline]
+fn spread_to_nibbles(word: u16) -> u64 {
+    let mut x = u64::from(word);
+    x = (x | (x << 24)) & 0x0000_00ff_0000_00ff;
+    x = (x | (x << 12)) & 0x000f_000f_000f_000f;
+    x = (x | (x << 6)) & 0x0303_0303_0303_0303;
+    (x | (x << 3)) & 0x1111_1111_1111_1111
+}
+
+/// XORs a GIFT-64 round key and the round constant into the state: bit `i`
+/// of `V` lands on state bit `4i`, bit `i` of `U` on state bit `4i + 1`.
 #[inline]
 pub fn add_round_key_64(state: u64, rk: RoundKey64, round: usize) -> u64 {
-    let mut s = state;
-    for i in 0..16 {
-        s ^= u64::from((rk.v >> i) & 1) << (4 * i);
-        s ^= u64::from((rk.u >> i) & 1) << (4 * i + 1);
-    }
+    let s = state ^ spread_to_nibbles(rk.v) ^ (spread_to_nibbles(rk.u) << 1);
     add_constant_64(s, ROUND_CONSTANTS[round])
 }
 
@@ -53,14 +63,20 @@ pub fn round_128(state: u128, rk: RoundKey128, round: usize) -> u128 {
     add_round_key_128(state, rk, round)
 }
 
-/// XORs a GIFT-128 round key and the round constant into the state.
+/// Moves bit `i` of a 32-bit word to bit `4i` of a 128-bit state: each
+/// 16-bit half is spread onto its own 64-bit half.
+#[inline]
+fn spread_to_nibbles_128(word: u32) -> u128 {
+    let lo = spread_to_nibbles(word as u16);
+    let hi = spread_to_nibbles((word >> 16) as u16);
+    (u128::from(hi) << 64) | u128::from(lo)
+}
+
+/// XORs a GIFT-128 round key and the round constant into the state: bit `i`
+/// of `V` lands on state bit `4i + 1`, bit `i` of `U` on state bit `4i + 2`.
 #[inline]
 pub fn add_round_key_128(state: u128, rk: RoundKey128, round: usize) -> u128 {
-    let mut s = state;
-    for i in 0..32 {
-        s ^= u128::from((rk.v >> i) & 1) << (4 * i + 1);
-        s ^= u128::from((rk.u >> i) & 1) << (4 * i + 2);
-    }
+    let s = state ^ (spread_to_nibbles_128(rk.v) << 1) ^ (spread_to_nibbles_128(rk.u) << 2);
     add_constant_128(s, ROUND_CONSTANTS[round])
 }
 

@@ -14,7 +14,7 @@
 //!    schedule is out of scope; we follow suit and treat it purely as a
 //!    leakage-shape change.)
 
-use crate::constants::{add_constant_64, ROUND_CONSTANTS};
+use crate::bitwise::add_round_key_64;
 use crate::key_schedule::{expand_64, Key, RoundKey64};
 use crate::observer::{Access, AccessKind, MemoryObserver, TableLayout};
 use crate::permutation::permute_64;
@@ -111,12 +111,7 @@ impl WideLineGift64 {
             let out = (packed >> ((nib & 1) * 4)) & 0xf;
             subbed |= u64::from(out) << (4 * i);
         }
-        let mut s = permute_64(subbed);
-        for i in 0..16 {
-            s ^= u64::from((rk.v >> i) & 1) << (4 * i);
-            s ^= u64::from((rk.u >> i) & 1) << (4 * i + 1);
-        }
-        add_constant_64(s, ROUND_CONSTANTS[round])
+        add_round_key_64(permute_64(subbed), rk, round)
     }
 }
 
@@ -164,12 +159,7 @@ impl FullScanGift64 {
             }
             subbed |= u64::from(out) << (4 * i);
         }
-        let mut s = permute_64(subbed);
-        for i in 0..16 {
-            s ^= u64::from((rk.v >> i) & 1) << (4 * i);
-            s ^= u64::from((rk.u >> i) & 1) << (4 * i + 1);
-        }
-        add_constant_64(s, ROUND_CONSTANTS[round])
+        add_round_key_64(permute_64(subbed), rk, round)
     }
 
     /// Encrypts one block with the constant address stream.

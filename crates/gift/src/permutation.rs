@@ -10,6 +10,15 @@
 //!
 //! with the spreading stride `S = 16` for GIFT-64 and `S = 32` for GIFT-128.
 //! The inverse tables are derived at compile time.
+//!
+//! The permutations are applied as masked rotations, not bit by bit.
+//! `P(i) − i` is always a multiple of 4, because `P` keeps each bit's
+//! position within its nibble. So the bits of a `4n`-bit state fall into `n`
+//! *rotation classes*, class `k` holding the bits that move by `4k`, and one
+//! `(state & mask_k).rotate_left(4k)` moves a whole class: 16 rotations for
+//! GIFT-64, 32 for GIFT-128. The class masks are derived from the tables at
+//! compile time. This form is branch-free and never indexes memory with
+//! state bits.
 
 /// Computes the closed-form GIFT permutation for a state of `4*stride` bits.
 const fn perm_formula(i: usize, stride: usize) -> usize {
@@ -56,6 +65,40 @@ const fn invert_128(table: [u8; 128]) -> [u8; 128] {
     inv
 }
 
+/// Splits a 64-bit permutation table into its rotation classes: bit `i` is
+/// set in entry `k` iff `table[i] − i ≡ 4k (mod 64)`.
+const fn rotation_classes_64(table: [u8; 64]) -> [u64; 16] {
+    let mut classes = [0u64; 16];
+    let mut i = 0;
+    while i < 64 {
+        let distance = (table[i] as usize + 64 - i) % 64;
+        assert!(
+            distance.is_multiple_of(4),
+            "PermBits keeps bits within their nibble class"
+        );
+        classes[distance / 4] |= 1 << i;
+        i += 1;
+    }
+    classes
+}
+
+/// Splits a 128-bit permutation table into its rotation classes: bit `i` is
+/// set in entry `k` iff `table[i] − i ≡ 4k (mod 128)`.
+const fn rotation_classes_128(table: [u8; 128]) -> [u128; 32] {
+    let mut classes = [0u128; 32];
+    let mut i = 0;
+    while i < 128 {
+        let distance = (table[i] as usize + 128 - i) % 128;
+        assert!(
+            distance.is_multiple_of(4),
+            "PermBits keeps bits within their nibble class"
+        );
+        classes[distance / 4] |= 1 << i;
+        i += 1;
+    }
+    classes
+}
+
 /// The GIFT-64 bit permutation: state bit `i` moves to bit `P64[i]`.
 pub const P64: [u8; 64] = build_p64();
 /// The inverse of [`P64`]: the bit at position `j` came from `P64_INV[j]`.
@@ -65,52 +108,53 @@ pub const P128: [u8; 128] = build_p128();
 /// The inverse of [`P128`].
 pub const P128_INV: [u8; 128] = invert_128(P128);
 
+const P64_CLASSES: [u64; 16] = rotation_classes_64(P64);
+const P64_INV_CLASSES: [u64; 16] = rotation_classes_64(P64_INV);
+const P128_CLASSES: [u128; 32] = rotation_classes_128(P128);
+const P128_INV_CLASSES: [u128; 32] = rotation_classes_128(P128_INV);
+
+/// Rotates every class of `state` into place: class `k` by `4k` bits.
+#[inline(always)]
+fn rotate_classes_64(state: u64, classes: &[u64; 16]) -> u64 {
+    let mut out = 0u64;
+    for (k, &mask) in classes.iter().enumerate() {
+        out |= (state & mask).rotate_left(4 * k as u32);
+    }
+    out
+}
+
+/// Rotates every class of `state` into place: class `k` by `4k` bits.
+#[inline(always)]
+fn rotate_classes_128(state: u128, classes: &[u128; 32]) -> u128 {
+    let mut out = 0u128;
+    for (k, &mask) in classes.iter().enumerate() {
+        out |= (state & mask).rotate_left(4 * k as u32);
+    }
+    out
+}
+
 /// Applies `PermBits` to a GIFT-64 state.
 #[inline]
 pub fn permute_64(state: u64) -> u64 {
-    let mut out = 0u64;
-    let mut i = 0;
-    while i < 64 {
-        out |= ((state >> i) & 1) << P64[i];
-        i += 1;
-    }
-    out
+    rotate_classes_64(state, &P64_CLASSES)
 }
 
 /// Applies the inverse of `PermBits` to a GIFT-64 state.
 #[inline]
 pub fn permute_64_inv(state: u64) -> u64 {
-    let mut out = 0u64;
-    let mut i = 0;
-    while i < 64 {
-        out |= ((state >> i) & 1) << P64_INV[i];
-        i += 1;
-    }
-    out
+    rotate_classes_64(state, &P64_INV_CLASSES)
 }
 
 /// Applies `PermBits` to a GIFT-128 state.
 #[inline]
 pub fn permute_128(state: u128) -> u128 {
-    let mut out = 0u128;
-    let mut i = 0;
-    while i < 128 {
-        out |= ((state >> i) & 1) << P128[i];
-        i += 1;
-    }
-    out
+    rotate_classes_128(state, &P128_CLASSES)
 }
 
 /// Applies the inverse of `PermBits` to a GIFT-128 state.
 #[inline]
 pub fn permute_128_inv(state: u128) -> u128 {
-    let mut out = 0u128;
-    let mut i = 0;
-    while i < 128 {
-        out |= ((state >> i) & 1) << P128_INV[i];
-        i += 1;
-    }
-    out
+    rotate_classes_128(state, &P128_INV_CLASSES)
 }
 
 #[cfg(test)]
@@ -163,6 +207,20 @@ mod tests {
         }
         for (i, &p) in P128.iter().enumerate() {
             assert_eq!(i % 4, (p % 4) as usize);
+        }
+    }
+
+    #[test]
+    fn rotation_classes_partition_every_state_bit() {
+        for classes in [P64_CLASSES, P64_INV_CLASSES] {
+            assert!(classes.iter().all(|&m| m != 0), "all 16 distances occur");
+            assert_eq!(classes.iter().fold(0, |acc, &m| acc | m), u64::MAX);
+            assert_eq!(classes.iter().map(|m| m.count_ones()).sum::<u32>(), 64);
+        }
+        for classes in [P128_CLASSES, P128_INV_CLASSES] {
+            assert!(classes.iter().all(|&m| m != 0), "all 32 distances occur");
+            assert_eq!(classes.iter().fold(0, |acc, &m| acc | m), u128::MAX);
+            assert_eq!(classes.iter().map(|m| m.count_ones()).sum::<u32>(), 128);
         }
     }
 

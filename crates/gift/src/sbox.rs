@@ -80,8 +80,29 @@ pub fn apply_bitsliced_nibbles_128(state: u128) -> u128 {
     (u128::from(hi) << 64) | u128::from(lo)
 }
 
-/// Returns the 8 nibble values whose S-box output has bit `bit` equal to
-/// `value`.
+/// `OUTPUT_BIT_PREIMAGES[bit][value]` lists, in ascending order, the eight
+/// nibbles whose S-box output has bit `bit` equal to `value`.
+const OUTPUT_BIT_PREIMAGES: [[[u8; 8]; 2]; 4] = build_output_bit_preimages();
+
+const fn build_output_bit_preimages() -> [[[u8; 8]; 2]; 4] {
+    let mut lists = [[[0u8; 8]; 2]; 4];
+    let mut filled = [[0usize; 2]; 4];
+    let mut x = 0;
+    while x < 16 {
+        let mut bit = 0;
+        while bit < 4 {
+            let value = ((GIFT_SBOX[x] >> bit) & 1) as usize;
+            lists[bit][value][filled[bit][value]] = x as u8;
+            filled[bit][value] += 1;
+            bit += 1;
+        }
+        x += 1;
+    }
+    lists
+}
+
+/// Returns the 8 nibble values, in ascending order, whose S-box output has
+/// bit `bit` equal to `value`.
 ///
 /// This is the list-construction primitive of GRINCH's Algorithm 1 ("Set
 /// target bits"): the attacker crafts plaintext nibbles so that a chosen
@@ -90,11 +111,9 @@ pub fn apply_bitsliced_nibbles_128(state: u128) -> u128 {
 /// # Panics
 ///
 /// Panics if `bit >= 4`.
-pub fn inputs_with_output_bit(bit: u8, value: bool) -> Vec<u8> {
+pub fn inputs_with_output_bit(bit: u8, value: bool) -> [u8; 8] {
     assert!(bit < 4, "S-box output bit index must be 0..4");
-    (0u8..16)
-        .filter(|&x| ((sbox(x) >> bit) & 1) == u8::from(value))
-        .collect()
+    OUTPUT_BIT_PREIMAGES[bit as usize][usize::from(value)]
 }
 
 #[cfg(test)]
@@ -166,10 +185,10 @@ mod tests {
         for bit in 0..4 {
             for value in [false, true] {
                 let list = inputs_with_output_bit(bit, value);
-                assert_eq!(list.len(), 8, "bit {bit} value {value}");
-                for &x in &list {
-                    assert_eq!((sbox(x) >> bit) & 1, u8::from(value));
-                }
+                let filtered: Vec<u8> = (0u8..16)
+                    .filter(|&x| (sbox(x) >> bit) & 1 == u8::from(value))
+                    .collect();
+                assert_eq!(list.to_vec(), filtered, "bit {bit} value {value}");
             }
         }
     }

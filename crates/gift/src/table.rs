@@ -11,10 +11,10 @@
 //! probes between rounds exactly the way preemption does on the paper's
 //! platforms.
 
-use crate::constants::{add_constant_64, ROUND_CONSTANTS};
+use crate::bitwise::{add_round_key_128, add_round_key_64};
 use crate::key_schedule::{expand_128, expand_64, Key, RoundKey128, RoundKey64};
 use crate::observer::{Access, AccessKind, MemoryObserver, TableLayout};
-use crate::permutation::{P128, P64};
+use crate::permutation::{permute_128, permute_64, P128, P64};
 use crate::sbox::GIFT_SBOX;
 use crate::{GIFT128_ROUNDS, GIFT64_ROUNDS};
 
@@ -39,33 +39,42 @@ fn sub_cells_64<O: MemoryObserver + ?Sized>(state: u64, layout: &TableLayout, ob
     out
 }
 
-/// Performs one permutation-table lookup, the only place this module reads
-/// a position table.
+/// Reports the `count` position-table reads of one table-driven `PermBits`
+/// layer, the only place this module models that table.
 ///
-/// The permutation-table reads have a *fixed* address sequence (independent
-/// of data and key), so they leak nothing; the observer event is emitted
-/// only when the layout requests it, to model realistic cache pressure —
-/// but every read goes through this helper so no lookup can bypass the
-/// accounting.
+/// The position-table reads have a *fixed* address sequence (independent
+/// of data and key), so they leak nothing; they are emitted only when the
+/// layout requests it, to model realistic cache pressure. The permutation
+/// itself is computed by the rotation form in [`crate::permutation`],
+/// which gives the same state as walking the table.
 #[inline]
-fn perm_lookup<O: MemoryObserver + ?Sized>(table: &[u8], i: usize, layout: &TableLayout, obs: &mut O) -> u8 {
+fn perm_reads<O: MemoryObserver + ?Sized>(count: usize, layout: &TableLayout, obs: &mut O) {
     if layout.emit_perm_reads {
-        obs.on_read(Access {
-            addr: layout.perm_base + i as u64,
-            kind: AccessKind::PermRead,
-        });
+        for i in 0..count {
+            obs.on_read(Access {
+                addr: layout.perm_base + i as u64,
+                kind: AccessKind::PermRead,
+            });
+        }
     }
-    table[i]
 }
 
-/// Table-driven `PermBits` for GIFT-64 using a position lookup table.
+/// Table-driven `PermBits` for GIFT-64: 64 position-table reads, then the
+/// permutation.
 fn perm_bits_64<O: MemoryObserver + ?Sized>(state: u64, layout: &TableLayout, obs: &mut O) -> u64 {
-    let mut out = 0u64;
-    for i in 0..P64.len() {
-        let p = perm_lookup(&P64, i, layout, obs);
-        out |= ((state >> i) & 1) << p;
-    }
-    out
+    perm_reads(P64.len(), layout, obs);
+    permute_64(state)
+}
+
+/// Table-driven `PermBits` for GIFT-128: 128 position-table reads, then the
+/// permutation.
+fn perm_bits_128<O: MemoryObserver + ?Sized>(
+    state: u128,
+    layout: &TableLayout,
+    obs: &mut O,
+) -> u128 {
+    perm_reads(P128.len(), layout, obs);
+    permute_128(state)
 }
 
 /// One full GIFT-64 round through the lookup tables.
@@ -78,12 +87,7 @@ fn table_round_64<O: MemoryObserver + ?Sized>(
 ) -> u64 {
     let state = sub_cells_64(state, layout, obs);
     let state = perm_bits_64(state, layout, obs);
-    let mut s = state;
-    for i in 0..16 {
-        s ^= u64::from((rk.v >> i) & 1) << (4 * i);
-        s ^= u64::from((rk.u >> i) & 1) << (4 * i + 1);
-    }
-    add_constant_64(s, ROUND_CONSTANTS[round])
+    add_round_key_64(state, rk, round)
 }
 
 /// The table-driven GIFT-64 implementation GRINCH attacks.
@@ -263,21 +267,9 @@ impl TableGift128 {
             let nib = ((state >> (4 * i)) & 0xf) as u8;
             subbed |= u128::from(sbox_lookup(&self.layout, nib, obs)) << (4 * i);
         }
-        // PermBits: shares `perm_lookup` with the GIFT-64 path so every
-        // position-table read is observed under the same accounting.
-        let mut permuted = 0u128;
-        for i in 0..P128.len() {
-            let p = perm_lookup(&P128, i, &self.layout, obs);
-            permuted |= (state_bit(subbed, i) as u128) << p;
-        }
-        // AddRoundKey
-        crate::bitwise::add_round_key_128(permuted, rk, round)
+        let permuted = perm_bits_128(subbed, &self.layout, obs);
+        add_round_key_128(permuted, rk, round)
     }
-}
-
-#[inline]
-fn state_bit(state: u128, i: usize) -> u8 {
-    ((state >> i) & 1) as u8
 }
 
 #[cfg(test)]

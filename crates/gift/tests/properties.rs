@@ -1,16 +1,80 @@
 //! Property-based tests of the GIFT implementations.
 
 use gift_cipher::bitwise::{
-    apply_with_round_keys_64, invert_with_round_keys_64, round_64, round_64_inv,
+    add_round_key_128, add_round_key_64, apply_with_round_keys_64, invert_with_round_keys_64,
+    round_64, round_64_inv,
 };
+use gift_cipher::constants::{add_constant_128, add_constant_64, ROUND_CONSTANTS};
 use gift_cipher::countermeasure::{masked_round_keys_64, WideLineGift64};
-use gift_cipher::key_schedule::{expand_64, Key, KeyState};
-use gift_cipher::permutation::{permute_128, permute_128_inv, permute_64, permute_64_inv};
+use gift_cipher::key_schedule::{expand_64, Key, KeyState, RoundKey128, RoundKey64};
+use gift_cipher::permutation::{
+    permute_128, permute_128_inv, permute_64, permute_64_inv, P128, P128_INV, P64, P64_INV,
+};
 use gift_cipher::sbox::{apply_bitsliced_nibbles, sbox, sbox_inv};
 use gift_cipher::{Gift128, Gift64, NullObserver, TableGift128, TableGift64, TableLayout};
 use proptest::prelude::*;
 
+/// `PermBits` bit by bit: bit `i` of `state` moves to bit `table[i]`.
+fn permute_bitwise_64(state: u64, table: &[u8; 64]) -> u64 {
+    (0..64).fold(0, |out, i| out | (((state >> i) & 1) << table[i]))
+}
+
+/// The 128-bit counterpart of [`permute_bitwise_64`].
+fn permute_bitwise_128(state: u128, table: &[u8; 128]) -> u128 {
+    (0..128).fold(0, |out, i| out | (((state >> i) & 1) << table[i]))
+}
+
+/// `AddRoundKey` for GIFT-64 bit by bit.
+fn add_round_key_bitwise_64(state: u64, rk: RoundKey64, round: usize) -> u64 {
+    let mut s = state;
+    for i in 0..16 {
+        s ^= u64::from((rk.v >> i) & 1) << (4 * i);
+        s ^= u64::from((rk.u >> i) & 1) << (4 * i + 1);
+    }
+    add_constant_64(s, ROUND_CONSTANTS[round])
+}
+
+/// `AddRoundKey` for GIFT-128 bit by bit.
+fn add_round_key_bitwise_128(state: u128, rk: RoundKey128, round: usize) -> u128 {
+    let mut s = state;
+    for i in 0..32 {
+        s ^= u128::from((rk.v >> i) & 1) << (4 * i + 1);
+        s ^= u128::from((rk.u >> i) & 1) << (4 * i + 2);
+    }
+    add_constant_128(s, ROUND_CONSTANTS[round])
+}
+
 proptest! {
+    #[test]
+    fn rotation_permutations_match_the_bit_loops(state in any::<u64>(), wide in any::<u128>()) {
+        prop_assert_eq!(permute_64(state), permute_bitwise_64(state, &P64));
+        prop_assert_eq!(permute_64_inv(state), permute_bitwise_64(state, &P64_INV));
+        prop_assert_eq!(permute_128(wide), permute_bitwise_128(wide, &P128));
+        prop_assert_eq!(permute_128_inv(wide), permute_bitwise_128(wide, &P128_INV));
+    }
+
+    #[test]
+    fn spread_add_round_key_matches_the_bit_loops(
+        state in any::<u64>(),
+        wide in any::<u128>(),
+        u in any::<u32>(),
+        v in any::<u32>(),
+        round in 0usize..40,
+    ) {
+        let rk64 = RoundKey64 { u: u as u16, v: v as u16 };
+        let round64 = round % 28;
+        prop_assert_eq!(
+            add_round_key_64(state, rk64, round64),
+            add_round_key_bitwise_64(state, rk64, round64)
+        );
+        let rk128 = RoundKey128 { u, v };
+        prop_assert_eq!(
+            add_round_key_128(wide, rk128, round),
+            add_round_key_bitwise_128(wide, rk128, round)
+        );
+    }
+
+
     #[test]
     fn gift64_encrypt_decrypt_round_trip(key in any::<u128>(), pt in any::<u64>()) {
         let cipher = Gift64::new(Key::from_u128(key));

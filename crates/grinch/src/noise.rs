@@ -60,14 +60,15 @@ impl NoiseChannel {
     }
 
     /// Applies the channel to one observation.
-    pub fn apply(&mut self, observed: ObservedLines) -> ObservedLines {
+    ///
+    /// Lines are filtered in place, in ascending order, one draw each.
+    pub fn apply(&mut self, mut observed: ObservedLines) -> ObservedLines {
         if self.evict_probability == 0.0 {
             return observed;
         }
+        let (rng, p) = (&mut self.rng, self.evict_probability);
+        observed.retain(|_| rng.gen::<f64>() >= p);
         observed
-            .into_iter()
-            .filter(|_| self.rng.gen::<f64>() >= self.evict_probability)
-            .collect()
     }
 }
 

@@ -31,7 +31,7 @@ use gift_cipher::GIFT64_SEGMENTS;
 /// A constraint on one round-*t* input segment: its S-box output bit
 /// `output_bit` must equal `value`, which the attacker enforces by drawing
 /// the segment's value from `choices` (the 8 valid S-box inputs).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SourceConstraint {
     /// The round-*t* input segment being constrained.
     pub segment: usize,
@@ -39,8 +39,8 @@ pub struct SourceConstraint {
     pub output_bit: u8,
     /// The pinned value.
     pub value: bool,
-    /// The eight segment values satisfying the constraint.
-    pub choices: Vec<u8>,
+    /// The eight segment values satisfying the constraint, ascending.
+    pub choices: [u8; 8],
 }
 
 /// One campaign target: segment `segment` of the round-`stage_round + 1`
@@ -223,7 +223,6 @@ mod tests {
                 let spec = TargetSpec::with_forced_pattern(1, seg, pattern);
                 for (b, c) in spec.source_constraints().iter().enumerate() {
                     assert_eq!(c.output_bit as usize, b);
-                    assert_eq!(c.choices.len(), 8);
                     for &x in &c.choices {
                         assert_eq!(
                             (sbox(x) >> c.output_bit) & 1,

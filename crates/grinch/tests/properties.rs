@@ -2,15 +2,38 @@
 //! pipeline must hold for arbitrary keys, segments, stages and forced
 //! patterns — the soundness foundation of candidate elimination.
 
-use gift_cipher::bitwise::Gift64;
-use gift_cipher::state::segment_64;
+use gift_cipher::bitwise::{invert_with_round_keys_64, Gift64};
+use gift_cipher::key_schedule::RoundKey64;
+use gift_cipher::sbox::sbox;
+use gift_cipher::state::{segment_64, with_segment_64};
 use gift_cipher::Key;
 use grinch::craft::craft_plaintext;
 use grinch::oracle::{ObservationConfig, VictimOracle};
 use grinch::target::{disjoint_batches, TargetSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// Plaintext crafting with a freshly filtered `Vec` preimage list per
+/// constraint: the reference the allocation-free crafter must reproduce
+/// plaintext for plaintext and draw for draw.
+fn craft_plaintext_with_vec_lists(
+    targets: &[TargetSpec],
+    known_round_keys: &[RoundKey64],
+    rng: &mut StdRng,
+) -> u64 {
+    let mut state: u64 = rng.gen();
+    for target in targets {
+        for (b, &segment) in target.source_segments().iter().enumerate() {
+            let choices: Vec<u8> = (0u8..16)
+                .filter(|&x| (sbox(x) >> b) & 1 == u8::from(target.forced[b]))
+                .collect();
+            let value = choices[rng.gen_range(0..choices.len())];
+            state = with_segment_64(state, segment, value);
+        }
+    }
+    invert_with_round_keys_64(state, known_round_keys)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -61,6 +84,37 @@ proptest! {
                 spec.expected_index(v, u)
             );
         }
+    }
+
+    #[test]
+    fn crafting_reproduces_the_vec_list_crafter_and_its_rng_stream(
+        key in any::<u128>(),
+        stage in 1usize..=4,
+        batch_idx in 0usize..4,
+        batch_len in 1usize..=4,
+        patterns in any::<u16>(),
+        seed in any::<u64>(),
+    ) {
+        let cipher = Gift64::new(Key::from_u128(key));
+        let known = &cipher.round_keys()[..stage - 1];
+        let batch = disjoint_batches(stage)[batch_idx];
+        let specs: Vec<TargetSpec> = batch[..batch_len]
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                let pattern = ((patterns >> (4 * i)) & 0xf) as u8;
+                TargetSpec::with_forced_pattern(stage, s, pattern)
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference_rng = StdRng::seed_from_u64(seed);
+        for _ in 0..3 {
+            prop_assert_eq!(
+                craft_plaintext(&specs, known, &mut rng).unwrap(),
+                craft_plaintext_with_vec_lists(&specs, known, &mut reference_rng)
+            );
+        }
+        prop_assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
     }
 
     #[test]
