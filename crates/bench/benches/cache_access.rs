@@ -5,11 +5,17 @@
 //! is millions of these calls — so the bench doubles as the wall-clock
 //! evidence for the hot-path overhaul (see DESIGN.md §11).
 //!
+//! The `set16/*` cases time the shapes Prime+Probe spends the arena on:
+//! one `access_batch_from` of 16 attacker lines that share a set, into an
+//! empty set (`prime_empty`), onto a primed set (`probe_hits`), into the 8
+//! attacker ways of a partitioned set (`partition_thrash`), and under a
+//! cache re-keyed every 64 accesses (`prime_rekey64`). See DESIGN.md §15.
+//!
 //! Set `GRINCH_BENCH_SMOKE=1` to shrink sampling for CI smoke runs.
 
 use std::time::Duration;
 
-use cache_sim::{Cache, CacheConfig};
+use cache_sim::{Cache, CacheConfig, Domain, IndexMapping, WayPartition};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use grinch_telemetry::Telemetry;
 
@@ -49,6 +55,43 @@ fn bench_cache_access(c: &mut Criterion) {
             b.iter(|| {
                 i = i.wrapping_add(1);
                 miss_cache.access(black_box(miss_stream(i)))
+            })
+        });
+    }
+
+    let base = CacheConfig::grinch_default();
+    let stride = (base.line_bytes * base.num_sets) as u64;
+    let set16: Vec<u64> = (0..16u64).map(|w| 0x10_0000 + w * stride).collect();
+    let mut empty = Cache::new(base);
+    group.bench_function("set16/prime_empty", |b| {
+        b.iter(|| {
+            empty.flush_all();
+            empty.access_batch_from(black_box(&set16), Domain::Attacker, |_, o| {
+                black_box(o);
+            })
+        })
+    });
+    for (label, config) in [
+        ("probe_hits", base),
+        (
+            "partition_thrash",
+            base.with_partition(WayPartition::even_split(base.ways)),
+        ),
+        (
+            "prime_rekey64",
+            base.with_mapping(IndexMapping::KeyedRemap {
+                key: 0x9e37,
+                epoch_accesses: 64,
+            }),
+        ),
+    ] {
+        let mut cache = Cache::new(config);
+        cache.access_batch_from(&set16, Domain::Attacker, |_, _| {});
+        group.bench_function(format!("set16/{label}"), |b| {
+            b.iter(|| {
+                cache.access_batch_from(black_box(&set16), Domain::Attacker, |_, o| {
+                    black_box(o);
+                })
             })
         });
     }

@@ -9,7 +9,9 @@
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use gift_cipher::bitslice::{slice_blocks, transpose_in_place, unslice_blocks, BitslicedGift64, LANES};
+use gift_cipher::bitslice::{
+    slice_blocks, transpose_in_place, unslice_blocks, BitslicedGift64, LANES,
+};
 use gift_cipher::{Gift64, Key};
 
 fn smoke(group: &mut criterion::BenchmarkGroup<'_>) {

@@ -1,15 +1,17 @@
 //! Criterion bench for the oracle's batched observation path:
 //! `encrypt_and_probe_batch` over a plaintext batch versus the equivalent
-//! `observe_stage` loop, for both probe mechanics. The batched path reuses
-//! scratch observations and publishes telemetry per batch, and Prime+Probe
-//! additionally rides the cache's same-set sweep fast path — this bench is
-//! the wall-clock evidence for that seam (DESIGN.md §15).
+//! `observe_stage` loop, for both probe mechanics, and for Prime+Probe
+//! also against the two defenses the arena spends its time on (way
+//! partitioning and a cache re-keyed every 64 accesses). The batched path
+//! reuses scratch observations and publishes telemetry per batch; each
+//! monitored set is primed and probed with one `access_batch_from` — this
+//! bench is the wall-clock evidence for that seam (DESIGN.md §15).
 //!
 //! Set `GRINCH_BENCH_SMOKE=1` to shrink sampling for CI smoke runs.
 
 use std::time::Duration;
 
-use cache_sim::{CacheConfig, WayPartition};
+use cache_sim::{CacheConfig, IndexMapping, WayPartition};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gift_cipher::Key;
 use grinch::oracle::{ObservationConfig, ProbeStrategy, VictimOracle};
@@ -30,13 +32,27 @@ fn plaintexts() -> Vec<u64> {
         .collect()
 }
 
-fn oracle(strategy: ProbeStrategy, partitioned: bool) -> VictimOracle {
+/// The cache defense an oracle runs against.
+#[derive(Clone, Copy)]
+enum Defense {
+    None,
+    Partition,
+    Rekey64,
+}
+
+fn oracle(strategy: ProbeStrategy, defense: Defense) -> VictimOracle {
     let key = Key::from_u128(0x0f1e_2d3c_4b5a_6978_8796_a5b4_c3d2_e1f0);
     let mut cfg = ObservationConfig::ideal();
     cfg.strategy = strategy;
-    if partitioned {
-        cfg.cache = CacheConfig::grinch_default().with_partition(WayPartition::even_split(16));
-    }
+    let base = CacheConfig::grinch_default();
+    cfg.cache = match defense {
+        Defense::None => base,
+        Defense::Partition => base.with_partition(WayPartition::even_split(16)),
+        Defense::Rekey64 => base.with_mapping(IndexMapping::KeyedRemap {
+            key: 0x9e37,
+            epoch_accesses: 64,
+        }),
+    };
     VictimOracle::new(key, cfg)
 }
 
@@ -45,12 +61,21 @@ fn bench_oracle_batch(c: &mut Criterion) {
     smoke(&mut group);
     let pts = plaintexts();
 
-    for (label, strategy, partitioned) in [
-        ("flush_reload", ProbeStrategy::FlushReload, false),
-        ("prime_probe", ProbeStrategy::PrimeProbe, false),
-        ("prime_probe_partition", ProbeStrategy::PrimeProbe, true),
+    for (label, strategy, defense) in [
+        ("flush_reload", ProbeStrategy::FlushReload, Defense::None),
+        ("prime_probe", ProbeStrategy::PrimeProbe, Defense::None),
+        (
+            "prime_probe_partition",
+            ProbeStrategy::PrimeProbe,
+            Defense::Partition,
+        ),
+        (
+            "prime_probe_rekey64",
+            ProbeStrategy::PrimeProbe,
+            Defense::Rekey64,
+        ),
     ] {
-        let mut looped = oracle(strategy, partitioned);
+        let mut looped = oracle(strategy, defense);
         group.bench_function(format!("observe64_loop/{label}"), |b| {
             b.iter(|| {
                 let mut lit = 0usize;
@@ -61,7 +86,7 @@ fn bench_oracle_batch(c: &mut Criterion) {
             })
         });
 
-        let mut batched = oracle(strategy, partitioned);
+        let mut batched = oracle(strategy, defense);
         group.bench_function(format!("observe64_batch/{label}"), |b| {
             b.iter(|| {
                 batched

@@ -2,7 +2,7 @@
 
 use crate::config::CacheConfig;
 use crate::mapper::{splitmix64, Domain, Mapper};
-use crate::replacement::ReplacementState;
+use crate::replacement::{ReplacementPolicy, ReplacementState};
 use crate::stats::CacheStats;
 use grinch_telemetry::{CounterHandle, HistogramHandle, Telemetry};
 
@@ -40,10 +40,6 @@ impl AccessOutcome {
 /// by a debug assertion on the access path.
 const INVALID_LINE: u64 = u64::MAX;
 
-/// Minimum same-set run length before [`Cache::access_batch_from`] switches
-/// to the queued sweep; shorter runs do not amortize the queue setup.
-const SWEEP_MIN_RUN: usize = 4;
-
 /// Metric slots pre-registered at [`Cache::set_telemetry`] time so the
 /// access path never formats or hashes a name — each publish is a typed
 /// handle bump into the telemetry slot table.
@@ -72,6 +68,108 @@ impl MetricHandles {
     }
 }
 
+/// The ways one domain may use in every set: `width` ways from `lo`, with
+/// their replacement order kept in ring `ring` of the set (0 or 1).
+#[derive(Clone, Copy, Debug)]
+struct WayRange {
+    lo: usize,
+    width: usize,
+    ring: usize,
+}
+
+/// The replacement order of one way range under LRU and FIFO: the valid
+/// lines sit at ring offsets `0..count`, physical way `(head + k) mod
+/// width`, from the oldest (the next victim) to the newest. The ways
+/// outside the ring hold [`INVALID_LINE`]. Under `Random` only `count` is
+/// kept (the ways stay where they were filled).
+#[derive(Clone, Copy, Debug, Default)]
+struct Ring {
+    head: u16,
+    count: u16,
+}
+
+impl Ring {
+    /// Physical way of ring offset `k` (`k < 2 × width`).
+    #[inline(always)]
+    fn slot(self, k: usize, width: usize) -> usize {
+        let p = self.head as usize + k;
+        if p >= width {
+            p - width
+        } else {
+            p
+        }
+    }
+
+    /// Ring offset of `line`, scanning only the valid ways.
+    #[inline(always)]
+    fn find(self, ways: &[u64], line: u64) -> Option<usize> {
+        let (head, count) = (self.head as usize, self.count as usize);
+        let first = (ways.len() - head).min(count);
+        if let Some(k) = ways[head..head + first].iter().position(|&l| l == line) {
+            return Some(k);
+        }
+        ways[..count - first]
+            .iter()
+            .position(|&l| l == line)
+            .map(|k| first + k)
+    }
+
+    /// Appends `line` as the newest; the ring must have a free way.
+    #[inline(always)]
+    fn push(&mut self, ways: &mut [u64], line: u64) {
+        ways[self.slot(self.count as usize, ways.len())] = line;
+        self.count += 1;
+    }
+
+    /// Replaces the oldest line of a full ring by `line` (which becomes
+    /// the newest) and returns the evicted line.
+    #[inline(always)]
+    fn replace_oldest(&mut self, ways: &mut [u64], line: u64) -> u64 {
+        let old = std::mem::replace(&mut ways[self.head as usize], line);
+        self.head = self.slot(1, ways.len()) as u16;
+        old
+    }
+
+    /// Makes the line at offset `k` the newest (an LRU hit). Touching the
+    /// oldest line of a full ring — every hit of a Prime+Probe probe
+    /// sweep — only advances `head`.
+    #[inline(always)]
+    fn touch(&mut self, ways: &mut [u64], k: usize) {
+        let (width, count) = (ways.len(), self.count as usize);
+        if k == 0 && count == width {
+            self.head = self.slot(1, width) as u16;
+        } else if k + 1 != count {
+            let line = self.remove(ways, k);
+            self.push(ways, line);
+        }
+    }
+
+    /// Removes the line at offset `k` and closes the gap from the shorter
+    /// side, leaving [`INVALID_LINE`] in the way that falls out of the
+    /// ring. Returns the removed line.
+    #[inline(always)]
+    fn remove(&mut self, ways: &mut [u64], k: usize) -> u64 {
+        let (width, count) = (ways.len(), self.count as usize);
+        let line = ways[self.slot(k, width)];
+        if k < count - 1 - k {
+            // Shift the older lines up one; the oldest way falls out.
+            for j in (0..k).rev() {
+                ways[self.slot(j + 1, width)] = ways[self.slot(j, width)];
+            }
+            ways[self.head as usize] = INVALID_LINE;
+            self.head = self.slot(1, width) as u16;
+        } else {
+            // Shift the newer lines down one; the newest way falls out.
+            for j in k..count - 1 {
+                ways[self.slot(j, width)] = ways[self.slot(j + 1, width)];
+            }
+            ways[self.slot(count - 1, width)] = INVALID_LINE;
+        }
+        self.count -= 1;
+        line
+    }
+}
+
 /// A set-associative cache.
 ///
 /// Addresses are byte addresses; the line, set and tag decomposition comes
@@ -83,6 +181,15 @@ impl MetricHandles {
 /// [`Domain`] for way-partitioned configurations; the domain-less methods
 /// ([`Cache::access`], [`Cache::flush_line`], …) are victim-domain shorthands
 /// and behave exactly as before on an undefended config.
+///
+/// Under LRU and FIFO each way range keeps its lines in replacement order
+/// (a ring from the oldest line to the newest), so a lookup scans only the valid ways, a miss appends or
+/// overwrites the oldest line, and an LRU hit moves the line to the
+/// newest end. This reproduces the clock model of
+/// [`crate::replacement::ReplacementState`] exactly: the clock stamps of the
+/// valid ways of a set are all distinct, so the clock's victim is always
+/// the oldest valid line, and which empty way a fill takes is never
+/// observable.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
@@ -94,24 +201,19 @@ pub struct Cache {
     /// places a line in a permuted set, from which the tag alone could
     /// not reconstruct the address.
     lines: Vec<u64>,
-    /// Replacement metadata (LRU timestamp / FIFO counter), parallel to
-    /// `lines`. Keeping it in its own slab lets the eviction path hand
-    /// `choose_victim` a contiguous borrowed slice instead of collecting
-    /// a scratch `Vec` per eviction.
-    meta: Vec<u64>,
-    /// Per-set replacement policy state (clock, RNG).
-    replacement: Vec<ReplacementState>,
-    /// Way-index bounds per domain, precomputed from the partition:
-    /// indexed by [`Domain`] discriminant (victim 0, attacker 1).
-    way_bounds: [(usize, usize); 2],
+    /// One ring per set and way range, `rings_per_set` per set.
+    rings: Vec<Ring>,
+    rings_per_set: usize,
+    /// Way range per domain, indexed by [`Domain`] discriminant (victim 0,
+    /// attacker 1); both are the whole set when unpartitioned.
+    ranges: [WayRange; 2],
+    /// Per-set victim draw state under `Random` (empty otherwise).
+    random: Vec<ReplacementState>,
     stats: CacheStats,
     telemetry: Telemetry,
     /// `Some` iff `telemetry` is enabled, so the hot path pays one
     /// `Option` check when telemetry is off.
     metrics: Option<MetricHandles>,
-    /// Reusable next-victim scratch for the batched same-set sweep fast
-    /// path (see [`Cache::sweep_set_run`]); never observable state.
-    sweep_queue: Vec<usize>,
     /// One bit per set, set whenever a line is filled there — a
     /// conservative "may hold valid lines" mask so whole-cache
     /// invalidation (frequent under epoch re-keying) only walks occupied
@@ -142,30 +244,39 @@ impl Cache {
     /// Panics if the configuration is invalid (see [`CacheConfig::validate`]).
     pub fn new_seeded(config: CacheConfig, seed: u64) -> Self {
         config.validate().expect("invalid cache configuration");
-        let slots = config.num_sets * config.ways;
-        let replacement = (0..config.num_sets)
-            .map(|s| {
-                ReplacementState::new(config.replacement, splitmix64(seed ^ splitmix64(s as u64)))
-            })
-            .collect();
-        let way_bounds = match config.partition {
-            Some(p) => [
-                range_bounds(p.way_range(Domain::Victim, config.ways)),
-                range_bounds(p.way_range(Domain::Attacker, config.ways)),
-            ],
-            None => [(0, config.ways); 2],
+        let random = match config.replacement {
+            ReplacementPolicy::Random => (0..config.num_sets)
+                .map(|s| {
+                    ReplacementState::new(
+                        config.replacement,
+                        splitmix64(seed ^ splitmix64(s as u64)),
+                    )
+                })
+                .collect(),
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => Vec::new(),
         };
+        let rings_per_set = if config.partition.is_some() { 2 } else { 1 };
+        let ranges = [Domain::Victim, Domain::Attacker].map(|domain| {
+            let r = config
+                .partition
+                .map_or(0..config.ways, |p| p.way_range(domain, config.ways));
+            WayRange {
+                lo: r.start,
+                width: r.len(),
+                ring: domain as usize % rings_per_set,
+            }
+        });
         Self {
             config,
             mapper: config.mapping.build(),
-            lines: vec![INVALID_LINE; slots],
-            meta: vec![0; slots],
-            replacement,
-            way_bounds,
+            lines: vec![INVALID_LINE; config.num_sets * config.ways],
+            rings: vec![Ring::default(); config.num_sets * rings_per_set],
+            rings_per_set,
+            ranges,
+            random,
             stats: CacheStats::default(),
             telemetry: Telemetry::disabled(),
             metrics: None,
-            sweep_queue: Vec::new(),
             occupied: vec![0; config.num_sets.div_ceil(64)],
         }
     }
@@ -197,38 +308,50 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// The way-index bounds `domain` may use (the whole set when
-    /// unpartitioned), precomputed at construction.
-    #[inline]
-    fn way_bounds(&self, domain: Domain) -> (usize, usize) {
-        self.way_bounds[domain as usize]
+    /// The slab span of `domain`'s ways in `set_idx` and the index of
+    /// that range's ring.
+    #[inline(always)]
+    fn locate(&self, set_idx: usize, domain: Domain) -> (core::ops::Range<usize>, usize) {
+        let r = self.ranges[domain as usize];
+        let start = set_idx * self.config.ways + r.lo;
+        (
+            start..start + r.width,
+            set_idx * self.rings_per_set + r.ring,
+        )
+    }
+
+    /// Empties the ways `lo..lo + width` and resets rings `rings` of every
+    /// occupied set; clears the occupancy mask when the whole set goes.
+    fn clear_ranges(&mut self, lo: usize, width: usize, rings: core::ops::Range<usize>) {
+        let (ways, per_set) = (self.config.ways, self.rings_per_set);
+        let whole = width == ways;
+        let Self {
+            lines,
+            rings: all_rings,
+            occupied,
+            ..
+        } = self;
+        for (word_idx, word) in occupied.iter_mut().enumerate() {
+            let mut w = *word;
+            while w != 0 {
+                let set = (word_idx << 6) | w.trailing_zeros() as usize;
+                let base = set * ways + lo;
+                lines[base..base + width].fill(INVALID_LINE);
+                all_rings[set * per_set + rings.start..set * per_set + rings.end]
+                    .fill(Ring::default());
+                w &= w - 1;
+            }
+            if whole {
+                *word = 0;
+            }
+        }
     }
 
     /// Invalidates every line without touching statistics — the remap
     /// fallout path (the lines are not "flushed", they are orphaned by the
     /// new mapping).
     fn invalidate_all(&mut self) {
-        let ways = self.config.ways;
-        let Self {
-            lines, occupied, ..
-        } = self;
-        for (word_idx, word) in occupied.iter_mut().enumerate() {
-            let mut w = *word;
-            while w != 0 {
-                let set = (word_idx << 6) | w.trailing_zeros() as usize;
-                let base = set * ways;
-                lines[base..base + ways].fill(INVALID_LINE);
-                w &= w - 1;
-            }
-            *word = 0;
-        }
-    }
-
-    /// Marks `set_idx` as possibly holding valid lines (see
-    /// [`Cache::occupied`]); must accompany every line fill.
-    #[inline]
-    fn mark_occupied(&mut self, set_idx: usize) {
-        self.occupied[set_idx >> 6] |= 1 << (set_idx & 63);
+        self.clear_ranges(0, self.config.ways, 0..self.rings_per_set);
     }
 
     /// Performs a read access at `addr` from the victim domain, filling the
@@ -237,13 +360,15 @@ impl Cache {
         self.access_from(addr, Domain::Victim)
     }
 
-    /// The telemetry-free access core: simulator state and [`CacheStats`]
-    /// are updated, metric publication is left to the caller. Returns the
-    /// outcome and whether a mapper rekey fired. Kept separate so the
-    /// batched entry points can run many accesses and publish **once** —
-    /// a held [`grinch_telemetry::Batch`] guard must never re-enter the
-    /// registry, so the core cannot publish itself.
-    #[inline]
+    /// The telemetry-free access core, shared by every access entry
+    /// point: simulator state and [`CacheStats`] are updated, metric
+    /// publication is left to the caller. Returns the outcome and whether
+    /// a mapper rekey fired. The batched entry points run many accesses
+    /// and publish **once** — a held [`grinch_telemetry::Batch`] guard
+    /// must never re-enter the registry, so the core cannot publish
+    /// itself. The core and the [`Ring`] steps are `inline(always)`: left
+    /// to the inliner, a 16-line batch ran 1.2–1.4× slower.
+    #[inline(always)]
     fn access_core(&mut self, addr: u64, domain: Domain) -> (AccessOutcome, bool) {
         let remapped = self.mapper.note_access();
         if remapped {
@@ -258,53 +383,60 @@ impl Cache {
             "line address collides with the invalid sentinel"
         );
         let set_idx = self.mapper.set_of(line, self.config.num_sets);
-        let (lo, hi) = self.way_bounds(domain);
-        let base = set_idx * self.config.ways;
-        let (start, end) = (base + lo, base + hi);
-
-        // The hit path stays a tight tag-only scan: victim encryptions are
-        // hit-dominated (S-box lines stay resident), so touching `meta`
-        // here would slow the common case for nothing.
-        if let Some(slot) = self.lines[start..end].iter().position(|&l| l == line) {
-            let hit_slot = start + slot;
-            self.meta[hit_slot] = self.replacement[set_idx].on_hit(self.meta[hit_slot]);
-            self.stats.hits += 1;
-            return (
-                AccessOutcome {
-                    hit: true,
-                    latency: self.config.hit_latency,
-                    evicted_line: None,
-                },
-                remapped,
-            );
-        }
-
-        // Miss: fill the first invalid way if any (the early-exit scan wins
-        // on the mostly-empty sets epoch re-keying leaves behind), else
-        // evict the policy's victim. Batched sweeps bypass this entirely
-        // (see `sweep_set_run`), so the full-set miss storm never pays the
-        // two scans per access.
-        self.stats.misses += 1;
-        let replacement = &mut self.replacement[set_idx];
-        let fill_meta = replacement.on_fill();
-        let (slot, evicted_line) = if let Some(inv) = self.lines[start..end]
-            .iter()
-            .position(|&l| l == INVALID_LINE)
-        {
-            (start + inv, None)
-        } else {
-            let victim = start + replacement.choose_victim(&self.meta[start..end]);
-            let old_line = self.lines[victim];
-            self.stats.evictions += 1;
-            (victim, Some(old_line))
+        let policy = self.config.replacement;
+        let (span, ring_idx) = self.locate(set_idx, domain);
+        let (ways, ring) = (&mut self.lines[span], &mut self.rings[ring_idx]);
+        let width = ways.len();
+        let (hit, evicted_line) = match policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => match ring.find(ways, line) {
+                Some(k) => {
+                    if policy == ReplacementPolicy::Lru {
+                        ring.touch(ways, k);
+                    }
+                    (true, None)
+                }
+                None if (ring.count as usize) < width => {
+                    ring.push(ways, line);
+                    (false, None)
+                }
+                None => (false, Some(ring.replace_oldest(ways, line))),
+            },
+            // Random draws a physical way, so its lines stay where they
+            // were filled: the first empty way, else the drawn one.
+            ReplacementPolicy::Random => {
+                if ways.contains(&line) {
+                    (true, None)
+                } else if (ring.count as usize) < width {
+                    let empty = ways
+                        .iter()
+                        .position(|&l| l == INVALID_LINE)
+                        .expect("a ring below capacity has an empty way");
+                    ways[empty] = line;
+                    ring.count += 1;
+                    (false, None)
+                } else {
+                    let victim = self.random[set_idx].random_way(width);
+                    (false, Some(std::mem::replace(&mut ways[victim], line)))
+                }
+            }
         };
-        self.lines[slot] = line;
-        self.meta[slot] = fill_meta;
-        self.mark_occupied(set_idx);
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+            if evicted_line.is_some() {
+                self.stats.evictions += 1;
+            }
+            self.occupied[set_idx >> 6] |= 1 << (set_idx & 63);
+        }
         (
             AccessOutcome {
-                hit: false,
-                latency: self.config.miss_latency,
+                hit,
+                latency: if hit {
+                    self.config.hit_latency
+                } else {
+                    self.config.miss_latency
+                },
                 evicted_line,
             },
             remapped,
@@ -350,170 +482,12 @@ impl Cache {
         mut sink: impl FnMut(u64, AccessOutcome),
     ) {
         let mut tally = BatchTally::default();
-        // Prime/probe sweeps hand us long runs of same-set addresses (both
-        // mappers derive the set from the same `line mod num_sets` class, so
-        // a monitored group stays one run even across re-keys); each run can
-        // keep its next-victim order in a queue instead of rescanning the
-        // set per access (see `sweep_set_run`).
-        let mut i = 0;
-        while i < addrs.len() {
-            let set_idx = self
-                .mapper
-                .set_of(self.config.line_of(addrs[i]), self.config.num_sets);
-            let mut j = i + 1;
-            while j < addrs.len()
-                && self
-                    .mapper
-                    .set_of(self.config.line_of(addrs[j]), self.config.num_sets)
-                    == set_idx
-            {
-                j += 1;
-            }
-            let run = &addrs[i..j];
-            let swept = run.len() >= SWEEP_MIN_RUN
-                && matches!(
-                    self.replacement[set_idx].policy(),
-                    crate::ReplacementPolicy::Lru | crate::ReplacementPolicy::Fifo
-                );
-            if swept {
-                // The sweep stops early if the mapper re-keys mid-run (the
-                // set indices change under it); re-group from wherever it
-                // got to.
-                i += self.sweep_set_run(set_idx, domain, run, &mut tally, &mut sink);
-            } else {
-                for &addr in run {
-                    let (outcome, remapped) = self.access_core(addr, domain);
-                    tally.note(&outcome, remapped);
-                    sink(addr, outcome);
-                }
-                i = j;
-            }
-        }
-        self.publish_tally(&tally);
-    }
-
-    /// Runs a same-set run of accesses with the set's next-victim order
-    /// held in a queue, so each miss fills in O(1) instead of rescanning
-    /// the ways. Outcomes, statistics, replacement clocks and final cache
-    /// state are identical to calling [`Cache::access_core`] per address:
-    /// the queue starts as [invalid ways in ascending position, then valid
-    /// ways in ascending `(meta, position)`] — exactly the order the
-    /// per-access first-invalid / first-minimum scans produce — and every
-    /// fill takes the freshest clock value, which is precisely a ring
-    /// rotation. Only an LRU hit reorders (the touched way becomes
-    /// newest), handled explicitly. The mapper is still noted per access;
-    /// if it re-keys, the access that triggered it lands in the freshly
-    /// invalidated cache (a miss filling the first way of its new set) and
-    /// the sweep returns early so the caller re-groups under the new
-    /// mapping. Returns how many of `addrs` were consumed. Caller
-    /// guarantees the set's policy is LRU or FIFO.
-    fn sweep_set_run(
-        &mut self,
-        set_idx: usize,
-        domain: Domain,
-        addrs: &[u64],
-        tally: &mut BatchTally,
-        sink: &mut impl FnMut(u64, AccessOutcome),
-    ) -> usize {
-        let (lo, hi) = self.way_bounds(domain);
-        let base = set_idx * self.config.ways;
-        let (start, end) = (base + lo, base + hi);
-        let n = end - start;
-
-        let mut queue = std::mem::take(&mut self.sweep_queue);
-        queue.clear();
-        queue.extend((start..end).filter(|&w| self.lines[w] == INVALID_LINE));
-        let invalids = queue.len();
-        queue.extend((start..end).filter(|&w| self.lines[w] != INVALID_LINE));
-        // `(meta, way)` keying reproduces `min_by_key`'s first-minimum
-        // tie-break; live metas are distinct clock draws anyway.
-        queue[invalids..].sort_unstable_by_key(|&w| (self.meta[w], w));
-        let mut head = 0usize;
-        // One conservative mark covers every fill this run can make.
-        self.mark_occupied(set_idx);
-
-        for (consumed, &addr) in addrs.iter().enumerate() {
-            if self.mapper.note_access() {
-                // Epoch boundary mid-run: everything resident is orphaned
-                // by the new permutation, and this access proceeds against
-                // the empty cache — a miss that fills the first way of its
-                // (re-mapped) set. Identical to `access_core`'s remap path.
-                self.invalidate_all();
-                self.stats.remaps += 1;
-                let line = self.config.line_of(addr);
-                let new_set = self.mapper.set_of(line, self.config.num_sets);
-                let slot = new_set * self.config.ways + lo;
-                self.stats.misses += 1;
-                self.lines[slot] = line;
-                self.meta[slot] = self.replacement[new_set].on_fill();
-                self.mark_occupied(new_set);
-                let outcome = AccessOutcome {
-                    hit: false,
-                    latency: self.config.miss_latency,
-                    evicted_line: None,
-                };
-                tally.note(&outcome, true);
-                sink(addr, outcome);
-                self.sweep_queue = queue;
-                return consumed + 1;
-            }
-            let line = self.config.line_of(addr);
-            debug_assert_ne!(line, INVALID_LINE);
-            if let Some(slot) = self.lines[start..end].iter().position(|&l| l == line) {
-                let hit_slot = start + slot;
-                let old = self.meta[hit_slot];
-                let new = self.replacement[set_idx].on_hit(old);
-                self.stats.hits += 1;
-                if new != old {
-                    // LRU touch: the way becomes the newest — move it to
-                    // the back of the victim queue.
-                    self.meta[hit_slot] = new;
-                    let pos = (head..head + n)
-                        .map(|p| p % n)
-                        .find(|&p| queue[p] == hit_slot)
-                        .expect("hit way must be queued");
-                    let mut p = pos;
-                    loop {
-                        let next = (p + 1) % n;
-                        if next == head {
-                            break;
-                        }
-                        queue[p] = queue[next];
-                        p = next;
-                    }
-                    queue[p] = hit_slot;
-                }
-                let outcome = AccessOutcome {
-                    hit: true,
-                    latency: self.config.hit_latency,
-                    evicted_line: None,
-                };
-                tally.note(&outcome, false);
-                sink(addr, outcome);
-                continue;
-            }
-            self.stats.misses += 1;
-            let fill_meta = self.replacement[set_idx].on_fill();
-            let w = queue[head];
-            head = (head + 1) % n;
-            let evicted_line = if self.lines[w] == INVALID_LINE {
-                None
-            } else {
-                self.stats.evictions += 1;
-                Some(self.lines[w])
-            };
-            self.lines[w] = line;
-            self.meta[w] = fill_meta;
-            let outcome = AccessOutcome {
-                hit: false,
-                latency: self.config.miss_latency,
-                evicted_line,
-            };
-            tally.note(&outcome, false);
+        for &addr in addrs {
+            let (outcome, remapped) = self.access_core(addr, domain);
+            tally.note(&outcome, remapped);
             sink(addr, outcome);
         }
-        self.sweep_queue = queue;
-        addrs.len()
+        self.publish_tally(&tally);
     }
 
     /// Flush+Reload's reload phase as one batched cycle: for each address,
@@ -586,21 +560,31 @@ impl Cache {
 
     /// The telemetry-free flush core (see [`Cache::access_core`]): updates
     /// residency and statistics, leaves metric publication to the caller.
-    #[inline]
+    #[inline(always)]
     fn flush_core(&mut self, addr: u64, domain: Domain) -> bool {
         let line = self.config.line_of(addr);
-        let base = self.mapper.set_of(line, self.config.num_sets) * self.config.ways;
-        let (lo, hi) = self.way_bounds(domain);
-        if let Some(way) = self.lines[base + lo..base + hi]
-            .iter_mut()
-            .find(|l| **l == line)
-        {
-            *way = INVALID_LINE;
+        let set_idx = self.mapper.set_of(line, self.config.num_sets);
+        let policy = self.config.replacement;
+        let (span, ring_idx) = self.locate(set_idx, domain);
+        let (ways, ring) = (&mut self.lines[span], &mut self.rings[ring_idx]);
+        let flushed = match policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => ring
+                .find(ways, line)
+                .map(|k| ring.remove(ways, k))
+                .is_some(),
+            ReplacementPolicy::Random => match ways.iter_mut().find(|l| **l == line) {
+                Some(way) => {
+                    *way = INVALID_LINE;
+                    ring.count -= 1;
+                    true
+                }
+                None => false,
+            },
+        };
+        if flushed {
             self.stats.flushes += 1;
-            true
-        } else {
-            false
         }
+        flushed
     }
 
     /// Invalidates the line containing `addr` on behalf of `domain`. On a
@@ -649,29 +633,8 @@ impl Cache {
     /// Invalidates every line in `domain`'s ways. Unpartitioned caches
     /// treat this as [`Cache::flush_all`].
     pub fn flush_all_from(&mut self, domain: Domain) {
-        let (lo, hi) = self.way_bounds(domain);
-        if (lo, hi) == (0, self.config.ways) {
-            // The domain owns every way: identical to a full invalidation,
-            // which also gets to clear the occupancy mask.
-            self.invalidate_all();
-        } else {
-            // Partitioned: only the domain's ways clear, so occupancy bits
-            // stay set (the other domain's lines survive) — but sets with
-            // no valid lines at all can be skipped outright.
-            let ways = self.config.ways;
-            let Self {
-                lines, occupied, ..
-            } = self;
-            for (word_idx, word) in occupied.iter().enumerate() {
-                let mut w = *word;
-                while w != 0 {
-                    let set = (word_idx << 6) | w.trailing_zeros() as usize;
-                    let base = set * ways;
-                    lines[base + lo..base + hi].fill(INVALID_LINE);
-                    w &= w - 1;
-                }
-            }
-        }
+        let r = self.ranges[domain as usize];
+        self.clear_ranges(r.lo, r.width, r.ring..r.ring + 1);
         self.stats.full_flushes += 1;
         if let Some(m) = &self.metrics {
             self.telemetry.inc(m.full_flushes);
@@ -691,12 +654,6 @@ impl Cache {
             .filter(|&l| l != INVALID_LINE)
             .collect()
     }
-}
-
-/// `(start, end)` bounds of a way range (ranges are not `Copy`, the
-/// bounds pair is).
-fn range_bounds(r: core::ops::Range<usize>) -> (usize, usize) {
-    (r.start, r.end)
 }
 
 /// Per-batch metric accumulator for the batched entry points: outcomes are
@@ -738,7 +695,6 @@ impl BatchTally {
 mod tests {
     use super::*;
     use crate::mapper::{IndexMapping, WayPartition};
-    use crate::replacement::ReplacementPolicy;
 
     fn small_config() -> CacheConfig {
         CacheConfig {

@@ -10,7 +10,8 @@ pub enum ConfigError {
     BadLineSize(usize),
     /// `num_sets` was zero or not a power of two.
     BadSetCount(usize),
-    /// `ways` was zero.
+    /// `ways` was zero or above `u16::MAX` (the cache keeps each set's
+    /// replacement order in `u16` ring indices).
     BadWays,
     /// `miss_latency` did not exceed `hit_latency`, making timing probes
     /// unable to distinguish hits from misses.
@@ -25,7 +26,7 @@ impl fmt::Display for ConfigError {
         match self {
             Self::BadLineSize(n) => write!(f, "line size {n} is not a nonzero power of two"),
             Self::BadSetCount(n) => write!(f, "set count {n} is not a nonzero power of two"),
-            Self::BadWays => write!(f, "associativity must be at least 1"),
+            Self::BadWays => write!(f, "associativity must be between 1 and {}", u16::MAX),
             Self::LatencyNotDistinguishable => {
                 write!(f, "miss latency must exceed hit latency")
             }
@@ -142,7 +143,7 @@ impl CacheConfig {
         if self.num_sets == 0 || !self.num_sets.is_power_of_two() {
             return Err(ConfigError::BadSetCount(self.num_sets));
         }
-        if self.ways == 0 {
+        if self.ways == 0 || self.ways > u16::MAX as usize {
             return Err(ConfigError::BadWays);
         }
         if self.miss_latency <= self.hit_latency {
@@ -253,6 +254,15 @@ mod tests {
         cfg = CacheConfig::grinch_default();
         cfg.ways = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::BadWays));
+        cfg.ways = u16::MAX as usize + 1;
+        assert_eq!(cfg.validate(), Err(ConfigError::BadWays));
+        assert_eq!(
+            ConfigError::BadWays.to_string(),
+            "associativity must be between 1 and 65535"
+        );
+        cfg.ways = u16::MAX as usize;
+        cfg.num_sets = 1;
+        assert!(cfg.validate().is_ok(), "the widest ring index still fits");
         cfg = CacheConfig::grinch_default();
         cfg.miss_latency = cfg.hit_latency;
         assert_eq!(cfg.validate(), Err(ConfigError::LatencyNotDistinguishable));

@@ -75,7 +75,7 @@ impl WayPartition {
 }
 
 /// Configuration of the set-index mapping, carried by
-/// [`crate::CacheConfig`]. Builds the runtime [`IndexMapper`] at
+/// [`crate::CacheConfig`]. Builds the runtime [`Mapper`] at
 /// [`crate::Cache`] construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum IndexMapping {
@@ -153,17 +153,6 @@ impl Mapper {
         match self {
             Self::Modulo(_) => false,
             Self::KeyedRemap(m) => m.note_access(),
-        }
-    }
-
-    /// Whether [`Mapper::note_access`] is a guaranteed no-op (never
-    /// mutates state, never re-keys). Batched sweeps use this to skip the
-    /// per-access note without changing any observable behaviour.
-    #[inline]
-    pub fn is_access_stateless(&self) -> bool {
-        match self {
-            Self::Modulo(_) => true,
-            Self::KeyedRemap(m) => m.epoch_accesses == 0,
         }
     }
 

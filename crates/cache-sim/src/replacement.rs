@@ -14,10 +14,15 @@ pub enum ReplacementPolicy {
     Random,
 }
 
-/// Per-set replacement state.
+/// Per-set replacement state: the clock model of the three policies.
 ///
-/// The state tracks one `u64` of metadata per way: an LRU timestamp, a FIFO
-/// insertion counter, or nothing for random replacement.
+/// The state hands out one `u64` of metadata per way (an LRU timestamp, a
+/// FIFO insertion counter) and picks the victim from the metadata of a full
+/// set. [`crate::Cache`] does not run this clock: it keeps each set's ways
+/// in replacement order instead, which is equivalent, and uses this state
+/// only for the `Random` victim draw ([`ReplacementState::random_way`]).
+/// The clock methods remain the reference the cache is replayed against
+/// (`tests/eviction_replay.rs`).
 #[derive(Clone, Debug)]
 pub struct ReplacementState {
     policy: ReplacementPolicy,
@@ -77,14 +82,17 @@ impl ReplacementState {
                 .min_by_key(|&(_, &m)| m)
                 .map(|(i, _)| i)
                 .expect("set is non-empty"),
-            ReplacementPolicy::Random => {
-                // xorshift64
-                self.rng ^= self.rng << 13;
-                self.rng ^= self.rng >> 7;
-                self.rng ^= self.rng << 17;
-                (self.rng % meta.len() as u64) as usize
-            }
+            ReplacementPolicy::Random => self.random_way(meta.len()),
         }
+    }
+
+    /// Draws a pseudo-random way index below `ways` (xorshift64) —
+    /// the `Random` policy's victim in a full range of `ways` ways.
+    pub fn random_way(&mut self, ways: usize) -> usize {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        (self.rng % ways as u64) as usize
     }
 }
 

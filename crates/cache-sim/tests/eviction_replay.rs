@@ -1,24 +1,31 @@
-//! Regression harness for the flattened cache core.
+//! Regression harness for the cache core.
 //!
-//! The slab-layout `Cache` (one contiguous `sets × ways` line/meta pair of
-//! vectors) must be *observationally identical* to the original
-//! array-of-structs design. This test replays long access/flush traces
-//! against a deliberately naive reference model written the way the seed
-//! cache was — `Vec` of sets, `Vec` of ways, `Option<u64>` lines, a
-//! per-eviction metadata `collect` — and demands the same outcome
-//! (hit/miss, latency, evicted line) on every step, for all three
-//! replacement policies, with and without partitioning and keyed
-//! remapping.
+//! The slab-layout `Cache`, which keeps each way range in replacement order
+//! instead of running a replacement clock, must be *observationally
+//! identical* to the original array-of-structs design. This test replays
+//! long traces against a deliberately naive reference model written the way
+//! the seed cache was — `Vec` of sets, `Vec` of ways, `Option<u64>` lines,
+//! the per-set clock of `ReplacementState` and a per-eviction metadata
+//! `collect` — and demands the same outcome (hit/miss, latency, evicted
+//! line) on every step, the same statistics and the same resident lines,
+//! for all three replacement policies, with and without partitioning and
+//! keyed remapping. Every entry point replays: single accesses and flushes,
+//! and the batched `access_batch_from`, `flush_lines_from`,
+//! `reload_and_flush_from` and `flush_all_from`.
 
 use cache_sim::mapper::Mapper;
 use cache_sim::replacement::ReplacementState;
-use cache_sim::{Cache, CacheConfig, Domain, IndexMapping, ReplacementPolicy, WayPartition};
+use cache_sim::{
+    splitmix64, AccessOutcome, Cache, CacheConfig, CacheStats, Domain, IndexMapping,
+    ReplacementPolicy, WayPartition,
+};
 
 /// The seed implementation, preserved as an executable specification.
 struct ReferenceCache {
     config: CacheConfig,
     mapper: Mapper,
     sets: Vec<RefSet>,
+    stats: CacheStats,
 }
 
 struct RefSet {
@@ -53,7 +60,7 @@ impl ReferenceCache {
                 ],
                 replacement: ReplacementState::new(
                     config.replacement,
-                    cache_sim::splitmix64(seed ^ cache_sim::splitmix64(s as u64)),
+                    splitmix64(seed ^ splitmix64(s as u64)),
                 ),
             })
             .collect();
@@ -61,6 +68,7 @@ impl ReferenceCache {
             config,
             mapper: config.mapping.build(),
             sets,
+            stats: CacheStats::default(),
         }
     }
 
@@ -78,6 +86,7 @@ impl ReferenceCache {
                     way.line = None;
                 }
             }
+            self.stats.remaps += 1;
         }
         let line = self.config.line_of(addr);
         let set_idx = self.mapper.set_of(line, self.config.num_sets);
@@ -88,12 +97,14 @@ impl ReferenceCache {
             .find(|w| w.line == Some(line))
         {
             way.meta = set.replacement.on_hit(way.meta);
+            self.stats.hits += 1;
             return RefOutcome {
                 hit: true,
                 latency: self.config.hit_latency,
                 evicted_line: None,
             };
         }
+        self.stats.misses += 1;
         let fill_meta = set.replacement.on_fill();
         let (way_idx, evicted_line) = if let Some(idx) = set.ways[range.clone()]
             .iter()
@@ -104,6 +115,7 @@ impl ReferenceCache {
             let meta: Vec<u64> = set.ways[range.clone()].iter().map(|w| w.meta).collect();
             let victim = range.start + set.replacement.choose_victim(&meta);
             let old_line = set.ways[victim].line.expect("full set has valid lines");
+            self.stats.evictions += 1;
             (victim, Some(old_line))
         };
         set.ways[way_idx] = RefWay {
@@ -124,44 +136,170 @@ impl ReferenceCache {
         let set = &mut self.sets[set_idx];
         if let Some(way) = set.ways[range].iter_mut().find(|w| w.line == Some(line)) {
             way.line = None;
+            self.stats.flushes += 1;
             true
         } else {
             false
         }
     }
+
+    /// Invalidates every line in `domain`'s ways of every set.
+    fn flush_all_from(&mut self, domain: Domain) {
+        let range = self.way_range(domain);
+        for set in &mut self.sets {
+            for way in &mut set.ways[range.clone()] {
+                way.line = None;
+            }
+        }
+        self.stats.full_flushes += 1;
+    }
+
+    fn resident_line_addrs(&self) -> Vec<u64> {
+        let mut lines: Vec<u64> = self
+            .sets
+            .iter()
+            .flat_map(|s| s.ways.iter().filter_map(|w| w.line))
+            .collect();
+        lines.sort_unstable();
+        lines
+    }
 }
 
-/// A deterministic mixed workload of accesses and occasional flushes from
-/// both domains. `span` bounds the address range so sets fill and evict.
-fn replay(config: CacheConfig, seed: u64, steps: u64, span: u64) {
+fn triple(o: &AccessOutcome) -> (bool, u64, Option<u64>) {
+    (o.hit, o.latency, o.evicted_line)
+}
+
+fn ref_triple(o: &RefOutcome) -> (bool, u64, Option<u64>) {
+    (o.hit, o.latency, o.evicted_line)
+}
+
+/// Compares statistics and resident lines of both models.
+fn assert_same_state(real: &Cache, reference: &ReferenceCache, step: u64) {
+    assert_eq!(
+        *real.stats(),
+        reference.stats,
+        "stats divergence at step {step}"
+    );
+    let mut resident = real.resident_line_addrs();
+    resident.sort_unstable();
+    assert_eq!(
+        resident,
+        reference.resident_line_addrs(),
+        "residency divergence at step {step}"
+    );
+}
+
+/// A deterministic mixed workload of single accesses, occasional flushes
+/// and batched operations from both domains. `span` bounds the address
+/// range of single operations so sets fill and evict; `batch` draws the
+/// addresses of one batched operation from a random word.
+fn replay_with(
+    config: CacheConfig,
+    seed: u64,
+    steps: u64,
+    span: u64,
+    batch: impl Fn(u64) -> Vec<u64>,
+) {
     let mut real = Cache::new_seeded(config, seed);
     let mut reference = ReferenceCache::new_seeded(config, seed);
-    let mut x = cache_sim::splitmix64(seed ^ 0x5eed);
+    let mut x = splitmix64(seed ^ 0x5eed);
     for step in 0..steps {
-        x = cache_sim::splitmix64(x);
+        x = splitmix64(x);
         let addr = x % span;
         let domain = if x & 0x100 == 0 {
             Domain::Victim
         } else {
             Domain::Attacker
         };
-        if x & 0xff00_0000 == 0 {
-            // Rare flush, exercising the invalidation paths too.
-            assert_eq!(
+        match (x >> 24) & 0xff {
+            0 => assert_eq!(
                 real.flush_line_from(addr, domain),
                 reference.flush_line_from(addr, domain),
                 "flush divergence at step {step} (addr {addr:#x})"
-            );
-            continue;
+            ),
+            1 => {
+                real.flush_all_from(domain);
+                reference.flush_all_from(domain);
+            }
+            2..=5 => {
+                let addrs = batch(x);
+                let mut got = Vec::with_capacity(addrs.len());
+                real.access_batch_from(&addrs, domain, |a, o| got.push((a, triple(&o))));
+                let want: Vec<_> = addrs
+                    .iter()
+                    .map(|&a| (a, ref_triple(&reference.access_from(a, domain))))
+                    .collect();
+                assert_eq!(got, want, "batch divergence at step {step} ({domain:?})");
+            }
+            6 | 7 => {
+                let addrs = batch(x);
+                let want = addrs
+                    .iter()
+                    .filter(|&&a| reference.flush_line_from(a, domain))
+                    .count() as u64;
+                assert_eq!(
+                    real.flush_lines_from(&addrs, domain),
+                    want,
+                    "flush batch divergence at step {step} ({domain:?})"
+                );
+            }
+            8 | 9 => {
+                let addrs = batch(x);
+                let mut got = Vec::with_capacity(addrs.len());
+                real.reload_and_flush_from(&addrs, domain, |a, hit| got.push((a, hit)));
+                let want: Vec<_> = addrs
+                    .iter()
+                    .map(|&a| {
+                        let hit = reference.access_from(a, domain).hit;
+                        reference.flush_line_from(a, domain);
+                        (a, hit)
+                    })
+                    .collect();
+                assert_eq!(got, want, "reload divergence at step {step} ({domain:?})");
+            }
+            _ => {
+                let got = real.access_from(addr, domain);
+                let want = reference.access_from(addr, domain);
+                assert_eq!(
+                    triple(&got),
+                    ref_triple(&want),
+                    "outcome divergence at step {step} (addr {addr:#x}, {domain:?})"
+                );
+            }
         }
-        let got = real.access_from(addr, domain);
-        let want = reference.access_from(addr, domain);
-        assert_eq!(
-            (got.hit, got.latency, got.evicted_line),
-            (want.hit, want.latency, want.evicted_line),
-            "outcome divergence at step {step} (addr {addr:#x}, {domain:?})"
-        );
+        if step % 64 == 0 {
+            assert_same_state(&real, &reference, step);
+        }
     }
+    assert_same_state(&real, &reference, steps);
+}
+
+/// [`replay_with`] whose batches are 1–32 addresses drawn from `span`.
+fn replay(config: CacheConfig, seed: u64, steps: u64, span: u64) {
+    replay_with(config, seed, steps, span, |x| random_batch(x, span));
+}
+
+/// 1–32 addresses below `span`, derived from `x`.
+fn random_batch(x: u64, span: u64) -> Vec<u64> {
+    let mut y = x;
+    (0..1 + (x >> 40) % 32)
+        .map(|_| {
+            y = splitmix64(y);
+            y % span
+        })
+        .collect()
+}
+
+/// Sixteen lines that share one modulo set class — an attacker's
+/// Prime+Probe group. Three families per set contend for it, so probes
+/// hit, miss and evict.
+fn same_set_group(config: &CacheConfig, x: u64) -> Vec<u64> {
+    let stride = (config.line_bytes * config.num_sets) as u64;
+    let set = (x >> 40) % config.num_sets as u64;
+    let family = (x >> 48) % 3;
+    (0..16)
+        .map(|w| 0x10_0000 + set * config.line_bytes as u64 + (family * 16 + w) * stride)
+        .collect()
 }
 
 fn base_config(replacement: ReplacementPolicy) -> CacheConfig {
@@ -215,5 +353,36 @@ fn slab_replays_reference_in_grinch_geometry() {
         let mut cfg = CacheConfig::grinch_default();
         cfg.replacement = policy;
         replay(cfg, 0x4000 + i as u64, 20_000, 0x1000);
+    }
+}
+
+#[test]
+fn batched_paths_replay_reference_on_same_set_groups() {
+    // The arena's Prime+Probe shape: 16-line same-set groups in the paper's
+    // geometry, with rekeys landing mid-batch (epochs of 7 and 64
+    // accesses) and, when partitioned, 16 lines thrashing 8 attacker ways.
+    let mut seed = 0x5000;
+    for policy in POLICIES {
+        for epoch_accesses in [0, 7, 64] {
+            for partition in [None, Some(WayPartition::even_split(16))] {
+                let mut cfg = CacheConfig::grinch_default();
+                cfg.replacement = policy;
+                cfg.partition = partition;
+                if epoch_accesses > 0 {
+                    cfg.mapping = IndexMapping::KeyedRemap {
+                        key: 0xc0ff_ee00 ^ seed,
+                        epoch_accesses,
+                    };
+                }
+                seed += 1;
+                replay_with(cfg, seed, 6_000, 0x800, |x| {
+                    if x & 0x200 == 0 {
+                        same_set_group(&cfg, x)
+                    } else {
+                        random_batch(x, 0x800)
+                    }
+                });
+            }
+        }
     }
 }

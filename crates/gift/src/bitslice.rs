@@ -196,10 +196,8 @@ impl BitslicedGift64 {
             !keys.is_empty() && keys.len() <= LANES,
             "per-lane key batch must hold 1..=64 keys"
         );
-        let schedules: Vec<Vec<RoundKey64>> = keys
-            .iter()
-            .map(|&k| expand_64(k, GIFT64_ROUNDS))
-            .collect();
+        let schedules: Vec<Vec<RoundKey64>> =
+            keys.iter().map(|&k| expand_64(k, GIFT64_ROUNDS)).collect();
         let round_masks = (0..GIFT64_ROUNDS)
             .map(|r| {
                 let mut mask = [0u64; LANES];
@@ -292,8 +290,8 @@ mod tests {
         let blocks = blocks_from_seed(7);
         let mut naive = [0u64; LANES];
         for (l, &b) in blocks.iter().enumerate() {
-            for j in 0..64 {
-                naive[j] |= ((b >> j) & 1) << l;
+            for (j, word) in naive.iter_mut().enumerate() {
+                *word |= ((b >> j) & 1) << l;
             }
         }
         let sliced = slice_blocks(&blocks);
@@ -323,7 +321,11 @@ mod tests {
             sliced.encrypt_rounds_sliced(&mut state, rounds);
             let out = unslice_blocks(&state);
             for (l, &b) in blocks.iter().enumerate() {
-                assert_eq!(out[l], scalar.encrypt_rounds(b, rounds), "lane {l} rounds {rounds}");
+                assert_eq!(
+                    out[l],
+                    scalar.encrypt_rounds(b, rounds),
+                    "lane {l} rounds {rounds}"
+                );
             }
         }
     }
@@ -331,7 +333,11 @@ mod tests {
     #[test]
     fn per_lane_keys_match_their_own_scalar_cipher() {
         let keys: Vec<Key> = (0..LANES)
-            .map(|l| Key::from_u128(u128::from(mix(l as u64 ^ 0xabcd)) | (u128::from(mix(l as u64)) << 64)))
+            .map(|l| {
+                Key::from_u128(
+                    u128::from(mix(l as u64 ^ 0xabcd)) | (u128::from(mix(l as u64)) << 64),
+                )
+            })
             .collect();
         let sliced = BitslicedGift64::per_lane(&keys);
         let pt = 0x0123_4567_89ab_cdef;
@@ -353,8 +359,8 @@ mod tests {
             assert_eq!(blocks[l], Gift64::new(key).encrypt(pt), "lane {l}");
         }
         let pad = Gift64::new(keys[0]).encrypt(pt);
-        for l in keys.len()..LANES {
-            assert_eq!(blocks[l], pad, "padding lane {l}");
+        for (l, &block) in blocks.iter().enumerate().skip(keys.len()) {
+            assert_eq!(block, pad, "padding lane {l}");
         }
     }
 

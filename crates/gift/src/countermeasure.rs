@@ -93,7 +93,12 @@ impl WideLineGift64 {
     /// # Panics
     ///
     /// Panics if `round >= 28`.
-    pub fn run_single_round<O: MemoryObserver + ?Sized>(&self, state: u64, round: usize, obs: &mut O) -> u64 {
+    pub fn run_single_round<O: MemoryObserver + ?Sized>(
+        &self,
+        state: u64,
+        round: usize,
+        obs: &mut O,
+    ) -> u64 {
         assert!(round < GIFT64_ROUNDS, "GIFT-64 has 28 rounds");
         let rk = self.round_keys[round];
         let mut subbed = 0u64;
@@ -141,7 +146,12 @@ impl FullScanGift64 {
     /// # Panics
     ///
     /// Panics if `round >= 28`.
-    pub fn run_single_round<O: MemoryObserver + ?Sized>(&self, state: u64, round: usize, obs: &mut O) -> u64 {
+    pub fn run_single_round<O: MemoryObserver + ?Sized>(
+        &self,
+        state: u64,
+        round: usize,
+        obs: &mut O,
+    ) -> u64 {
         assert!(round < GIFT64_ROUNDS, "GIFT-64 has 28 rounds");
         let rk = self.round_keys[round];
         let mut subbed = 0u64;
@@ -196,7 +206,12 @@ impl PreloadGift64 {
     /// # Panics
     ///
     /// Panics if `round >= 28`.
-    pub fn run_single_round<O: MemoryObserver + ?Sized>(&self, state: u64, round: usize, obs: &mut O) -> u64 {
+    pub fn run_single_round<O: MemoryObserver + ?Sized>(
+        &self,
+        state: u64,
+        round: usize,
+        obs: &mut O,
+    ) -> u64 {
         for entry in 0..16u8 {
             obs.on_read(Access {
                 addr: self.layout.sbox_entry_addr(entry),

@@ -189,7 +189,12 @@ impl TablePresent {
     /// # Panics
     ///
     /// Panics if `round > 31`.
-    pub fn run_single_round<O: MemoryObserver + ?Sized>(&self, state: u64, round: usize, obs: &mut O) -> u64 {
+    pub fn run_single_round<O: MemoryObserver + ?Sized>(
+        &self,
+        state: u64,
+        round: usize,
+        obs: &mut O,
+    ) -> u64 {
         assert!(round <= PRESENT_ROUNDS, "PRESENT has 31 rounds + whitening");
         if round == PRESENT_ROUNDS {
             return state ^ self.round_keys[PRESENT_ROUNDS];

@@ -156,7 +156,12 @@ impl TableGift64 {
     /// # Panics
     ///
     /// Panics if `round >= 28`.
-    pub fn run_single_round<O: MemoryObserver + ?Sized>(&self, state: u64, round: usize, obs: &mut O) -> u64 {
+    pub fn run_single_round<O: MemoryObserver + ?Sized>(
+        &self,
+        state: u64,
+        round: usize,
+        obs: &mut O,
+    ) -> u64 {
         assert!(round < GIFT64_ROUNDS, "GIFT-64 has 28 rounds");
         table_round_64(state, self.round_keys[round], round, &self.layout, obs)
     }

@@ -176,8 +176,7 @@ fn verify_final_candidates(
     verify_ct: u64,
 ) -> Option<Key> {
     debug_assert_eq!(known.len(), STAGES - 1);
-    let full_key =
-        |rk: RoundKey64| key_from_round_keys(&[known[0], known[1], known[2], rk]);
+    let full_key = |rk: RoundKey64| key_from_round_keys(&[known[0], known[1], known[2], rk]);
     if let [only] = finals {
         let candidate = full_key(*only);
         return (Gift64::new(candidate).encrypt(verify_pt) == verify_ct).then_some(candidate);
@@ -189,10 +188,7 @@ fn verify_final_candidates(
         let sliced = BitslicedGift64::per_lane(&keys);
         let mut blocks = [verify_pt; LANES];
         sliced.encrypt_blocks(&mut blocks);
-        if let Some(i) = blocks[..chunk.len()]
-            .iter()
-            .position(|&ct| ct == verify_ct)
-        {
+        if let Some(i) = blocks[..chunk.len()].iter().position(|&ct| ct == verify_ct) {
             return Some(keys[i]);
         }
     }
