@@ -23,21 +23,8 @@ use std::sync::Mutex;
 /// tests validate up front; reaching the engine with a degenerate grid is
 /// a programming error.
 pub fn run_campaign(config: &CampaignConfig) -> ArenaMatrix {
-    run_campaign_observed(config, None)
-}
-
-/// [`run_campaign`] with an optional progress observer: every worker
-/// routes [`WorkerEvent`]s (heartbeats, cell started/done, per-trial
-/// progress) into the sender — the live plane's collector sits on the
-/// other end. Send failures are ignored (a dead observer must never stop
-/// the sweep), and the observer cannot perturb results: cells stay a pure
-/// function of `(config, cell_index)`.
-pub fn run_campaign_observed(
-    config: &CampaignConfig,
-    observer: Option<&Sender<WorkerEvent>>,
-) -> ArenaMatrix {
     let all: Vec<usize> = (0..config.num_cells()).collect();
-    let results = run_cells(config, &all, observer, None);
+    let results = run_cells(config, &all, None, None);
     assemble_matrix(config, results).expect("full grid assembles")
 }
 
@@ -47,14 +34,18 @@ pub fn run_campaign_observed(
 pub type CellHook<'a> = &'a (dyn Fn(usize, &CellResult) + Sync);
 
 /// Runs an arbitrary subset of the campaign's cells — the primitive both
-/// [`run_campaign_observed`] (all cells) and the campaign orchestrator's
-/// shard workers (one shard's cells) are built on.
+/// [`run_campaign`] (all cells) and the journaled shard workers
+/// ([`run_journaled`](crate::journal::run_journaled)) are built on.
 ///
 /// `cells` holds cell indices in any order, distributed over `config.jobs`
 /// workers through the same atomic work queue as a full run. Each result
 /// stays a pure function of `(config, cell_index)`, so the subset's
 /// results are byte-identical to the same cells cut out of a one-shot full
-/// run. `on_cell` fires once per finished cell **in completion order**
+/// run. `observer`, when given, receives every worker's [`WorkerEvent`]s
+/// (heartbeats, cell started/done, per-trial progress) — the live plane's
+/// collector sits on the other end. Send failures are ignored (a dead
+/// observer must never stop the sweep), and the observer cannot perturb
+/// results. `on_cell` fires once per finished cell **in completion order**
 /// (concurrently from worker threads — the campaign journal serializes
 /// appends behind its own lock); the returned pairs are in the order of
 /// `cells`, not completion order.
@@ -239,7 +230,10 @@ mod tests {
         };
         let plain = run_campaign(&cfg).to_json();
         let (tx, rx) = std::sync::mpsc::channel();
-        let observed = run_campaign_observed(&cfg, Some(&tx)).to_json();
+        let all: Vec<usize> = (0..cfg.num_cells()).collect();
+        let observed = assemble_matrix(&cfg, run_cells(&cfg, &all, Some(&tx), None))
+            .expect("full grid")
+            .to_json();
         drop(tx);
         assert_eq!(plain, observed, "observer must not perturb the matrix");
 

@@ -467,8 +467,8 @@ pub struct JournalOutcome {
 }
 
 /// Runs a campaign (or one shard of it) with every finished cell streamed
-/// to the journal at `path` — the engine behind both `grinch-arena run`
-/// and the `grinch-campaign` orchestrator's shard workers.
+/// to the journal at `path` — the engine behind `grinch-campaign run` and
+/// the `grinch-campaign serve` shard workers.
 ///
 /// If `path` already holds a journal for the **same campaign identity and
 /// shard cover**, the run resumes: journaled cells are reused, only

@@ -17,8 +17,8 @@
 //!   encryptions-to-success and residual stage-1 key entropy;
 //! * [`engine`] — [`run_campaign`]: cells distributed over `std::thread`
 //!   workers with per-cell splitmix64 seeds, byte-identical results for
-//!   any worker count; [`run_campaign_observed`] streams per-worker
-//!   progress events on top without touching determinism;
+//!   any worker count; [`run_cells`] runs any subset of cells and can
+//!   stream per-worker progress events without touching determinism;
 //! * [`journal`] — the append-only `grinch-campaign/v1` JSONL journal:
 //!   per-cell results streamed to disk with atomic line appends, so an
 //!   interrupted sweep resumes from what it already finished instead of
@@ -26,17 +26,19 @@
 //! * [`progress`] — the live plane: worker events collected into streamed
 //!   telemetry deltas and a shared progress view, a stalled-worker
 //!   watchdog, and the [`LivePlane`] assembly behind
-//!   `grinch-arena run --live <addr>`;
+//!   `grinch-campaign run --live <addr>`;
 //! * [`report`] — the stable `grinch-arena/v1` JSON document, the
 //!   byte-exact baseline gate, and heatmap rendering via
 //!   [`grinch_obs::MatrixHeat`].
 //!
-//! The `grinch-arena` binary wires it into a CLI:
+//! `grinch-campaign run` sweeps the grid (journaled, resumable, optionally
+//! live); the `grinch-arena` binary re-renders saved matrices and captures
+//! defended traces:
 //!
 //! ```text
-//! grinch-arena run --preset smoke --jobs 4 --check
-//! grinch-arena run --preset full --live 127.0.0.1:9090
-//! grinch-arena render results/ARENA_MATRIX.json --metric entropy-bits
+//! grinch-campaign run --preset smoke --jobs 4 --check
+//! grinch-campaign run --preset full --live 127.0.0.1:9090
+//! grinch-arena render results/campaign/CAMPAIGN_<id>.json --metric entropy-bits
 //! grinch-arena trace --epoch 64
 //! ```
 
@@ -50,7 +52,7 @@ pub mod report;
 pub mod spec;
 
 pub use cell::{CellResult, TrialProgress};
-pub use engine::{assemble_matrix, run_campaign, run_campaign_observed, run_cells};
+pub use engine::{assemble_matrix, run_campaign, run_cells};
 pub use journal::{Journal, JournalState, CAMPAIGN_SCHEMA};
 pub use progress::{LiveOptions, LivePlane, WorkerEvent};
 pub use report::{ArenaMatrix, Metric};

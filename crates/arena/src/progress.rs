@@ -514,8 +514,15 @@ mod tests {
         let plane = LivePlane::start(&config, smoke_options("arena smoke")).expect("start");
         let addr = plane.addr().to_string();
         let sender = plane.sender();
-        let matrix = crate::engine::run_campaign_observed(&config, Some(&sender));
+        let journal = std::env::temp_dir().join(format!(
+            "grinch-progress-{}-live-smoke.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&journal);
+        let outcome = crate::journal::run_journaled(&config, &journal, None, Some(&sender), 0)
+            .expect("journaled run");
         drop(sender);
+        let _ = std::fs::remove_file(&journal);
 
         let (code, body) = http_get(&addr, "/metrics").expect("metrics");
         assert_eq!(code, 200);
@@ -541,7 +548,12 @@ mod tests {
             doc.get("trials_completed").unwrap().as_u64(),
             Some((config.num_cells() * config.trials) as u64)
         );
-        assert_eq!(matrix.cells.len(), config.num_cells());
         plane.shutdown();
+        assert_eq!(outcome.ran_cells, config.num_cells());
+        assert_eq!(
+            outcome.matrix.expect("full grid").to_json(),
+            crate::engine::run_campaign(&config).to_json(),
+            "the live plane must not change a matrix byte"
+        );
     }
 }

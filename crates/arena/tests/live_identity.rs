@@ -4,16 +4,18 @@
 //! (worker events, streamed deltas, the HTTP endpoints) must leave every
 //! byte-stable artifact — the arena matrix and the quickstart telemetry
 //! JSONL — identical to a run without it. These tests pin that contract
-//! at the library level; the CI smoke job pins it again end-to-end by
-//! running `grinch-arena run --live ... --check` against the committed
-//! baseline.
+//! at the library level, through the same journaled path
+//! `grinch-campaign run` takes; the CI live job pins it again end-to-end
+//! by running `grinch-campaign run --live ... --check` against the
+//! committed baseline.
 
 use std::time::Duration;
 
 use gift_cipher::Key;
 use grinch::attack::{recover_full_key, AttackConfig};
 use grinch::oracle::{ObservationConfig, VictimOracle};
-use grinch_arena::{run_campaign, run_campaign_observed, CampaignConfig, LiveOptions, LivePlane};
+use grinch_arena::journal::run_journaled;
+use grinch_arena::{run_campaign, CampaignConfig, LiveOptions, LivePlane};
 use grinch_telemetry::{StreamingSink, Telemetry};
 
 /// The full preset's whole grid (4 defenses x 2 attacks x 2 noise
@@ -34,9 +36,14 @@ fn full_grid_matrix_is_byte_identical_under_the_live_plane() {
     opts.stream_interval = Duration::ZERO; // stream every event
     let mut plane = LivePlane::start(&cfg, opts).expect("live plane");
     let sender = plane.sender();
-    let live = run_campaign_observed(&cfg, Some(&sender)).to_json();
+    let journal =
+        std::env::temp_dir().join(format!("grinch-live-identity-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let outcome = run_journaled(&cfg, &journal, None, Some(&sender), 0).expect("journaled run");
     drop(sender);
     plane.finish();
+    let _ = std::fs::remove_file(&journal);
+    let live = outcome.matrix.expect("full grid").to_json();
 
     assert_eq!(plain, live, "--live must not change a single matrix byte");
     let state = plane.state();

@@ -3,8 +3,10 @@
 //! ```text
 //! grinch-campaign run [--preset smoke|full] [--trials N] [--seed N] [--jobs N]
 //!                     [--max-encryptions N] [--shards N] [--shard I]
-//!                     [--journal-dir DIR] [--out FILE] [--throttle-ms N]
-//!                     [--check] [--baseline FILE]
+//!                     [--journal-dir DIR] [--out FILE] [--svg FILE]
+//!                     [--throttle-ms N] [--check] [--baseline FILE]
+//!                     [--live ADDR] [--live-interval-ms N]
+//!                     [--watchdog-ms N] [--linger-secs N]
 //! grinch-campaign status [--journal-dir DIR]
 //! grinch-campaign aggregate [--journal-dir DIR] [--campaign ID] [--out FILE]
 //!                     [--check] [--baseline FILE]
@@ -15,16 +17,18 @@
 //! ```
 //!
 //! Exit codes: `0` success / baseline agreement, `1` baseline mismatch,
-//! `2` usage or I/O error. Argument parsing is hand-rolled, matching the
-//! other workspace binaries — the build environment is offline.
+//! `2` usage or I/O error (see [`grinch_obs::cli`]).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use grinch_arena::journal::run_journaled;
-use grinch_arena::{ArenaMatrix, CampaignConfig, Metric};
+use grinch_arena::{ArenaMatrix, CampaignConfig, LiveOptions, LivePlane, Metric};
 use grinch_campaign::aggregate::{aggregate_journals, discover_journals};
 use grinch_campaign::{serve, ServeOptions, ShardPlan};
+use grinch_obs::cli::{self, reject_leftover, take_num, take_switch, take_value, write_file};
+use grinch_obs::{BenchReport, WallSection};
 
 const USAGE: &str = "\
 grinch-campaign: sharded, resumable campaign orchestrator for the arena sweep
@@ -32,22 +36,41 @@ grinch-campaign: sharded, resumable campaign orchestrator for the arena sweep
 usage:
   grinch-campaign run [--preset smoke|full] [--trials N] [--seed N] [--jobs N]
                       [--max-encryptions N] [--shards N] [--shard I]
-                      [--journal-dir DIR] [--out FILE] [--throttle-ms N]
-                      [--check] [--baseline FILE]
-      run a campaign split into --shards deterministic shards (default 1),
-      each streaming to its own append-only grinch-campaign/v1 journal in
-      --journal-dir (default: results/campaign). A killed run resumes:
-      re-run the same command and only unjournaled cells execute. With
-      --shard I only that one shard runs (spread shards over invocations
-      or machines; aggregate later). When every shard is complete the
-      aggregated grinch-arena/v1 matrix lands in --out (default:
-      CAMPAIGN_<id>.json inside --journal-dir) — byte-identical to a
-      one-shot grinch-arena run for any shard count, ordering, worker
-      count or kill/resume history. --throttle-ms sleeps after each cell
-      (a CI hook for widening kill windows; never affects results).
+                      [--journal-dir DIR] [--out FILE] [--svg FILE]
+                      [--throttle-ms N] [--check] [--baseline FILE]
+                      [--live ADDR] [--live-interval-ms N]
+                      [--watchdog-ms N] [--linger-secs N]
+      sweep the (defense x attack x noise) grid of a preset: smoke (CI:
+      2 defenses x 2 attacks, 2 trials; the default) or full (4 defenses
+      x 2 attacks x 2 noise levels, 8 trials). The campaign is split into
+      --shards deterministic shards (default 1), each streaming to its
+      own append-only grinch-campaign/v1 journal in --journal-dir
+      (default: results/campaign). A killed run resumes: re-run the same
+      command and only unjournaled cells execute. With --shard I only
+      that one shard runs (spread shards over invocations or machines;
+      aggregate later). When every shard is complete the success-rate
+      and entropy-bits heatmaps are printed and the aggregated
+      grinch-arena/v1 matrix lands in --out (default: CAMPAIGN_<id>.json
+      inside --journal-dir) — byte-identical for any shard count,
+      ordering, worker count or kill/resume history; --svg also renders
+      the success-rate heatmap as SVG. --throttle-ms sleeps after each
+      cell (a CI hook for widening kill windows; never affects results).
       --check compares the aggregated matrix byte-for-byte against
       --baseline (default: bench/baselines/ARENA_MATRIX.json); exit 1 on
-      drift.
+      drift, exit 2 if the baseline cannot be read.
+      Every run writes BENCH_arena.json to the results dir (wall time and
+      cell-trials per second of the cells it actually ran, not the ones
+      it reused) and appends one grinch-run/v1 record to the run ledger
+      (GRINCH_LEDGER=0 opts out).
+      --live ADDR serves the live observability plane while the sweep runs
+      (ADDR like 127.0.0.1:9090; port 0 picks one — the bound address is
+      printed to stderr): GET /metrics (Prometheus text), /progress (JSON),
+      /healthz (503 while a worker misses its heartbeat; threshold
+      --watchdog-ms, default 5000). --live-interval-ms (default 250) rate-
+      limits the streamed metric deltas; --linger-secs (default 0) keeps
+      the endpoints up that long after the sweep so late scrapers see the
+      final state. The live plane only observes: the matrix stays
+      byte-identical with or without it.
   grinch-campaign status [--journal-dir DIR]
       summarize every campaign journaled under --journal-dir: per-shard
       cells done/target, resumability, completeness.
@@ -69,54 +92,6 @@ usage:
       --duration-secs when given (CI hook).
 ";
 
-fn fail(message: &str) -> ExitCode {
-    eprintln!("grinch-campaign: {message}");
-    ExitCode::from(2)
-}
-
-/// Pulls the value following a `--flag` out of `args`, if present.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) if i + 1 < args.len() => {
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(value))
-        }
-        Some(_) => Err(format!("{flag} needs a value")),
-    }
-}
-
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
-fn reject_leftover(args: &[String]) -> Result<(), String> {
-    match args.first() {
-        Some(unknown) => Err(format!("unexpected argument {unknown:?}")),
-        None => Ok(()),
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-    v.parse()
-        .map_err(|_| format!("{flag}: invalid value {v:?}"))
-}
-
-fn write_file(path: &Path, contents: &str) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    }
-    std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
-}
-
 fn default_journal_dir() -> PathBuf {
     grinch_obs::paths::results_dir().join("campaign")
 }
@@ -129,34 +104,58 @@ fn campaign_from_args(args: &mut Vec<String>) -> Result<CampaignConfig, String> 
         "full" => CampaignConfig::full(),
         other => return Err(format!("--preset: unknown preset {other:?}")),
     };
-    if let Some(v) = take_value(args, "--trials")? {
-        campaign.trials = parse_num("--trials", &v)?;
+    if let Some(v) = take_num(args, "--trials")? {
+        campaign.trials = v;
     }
-    if let Some(v) = take_value(args, "--seed")? {
-        campaign.seed = parse_num("--seed", &v)?;
+    if let Some(v) = take_num(args, "--seed")? {
+        campaign.seed = v;
     }
-    if let Some(v) = take_value(args, "--jobs")? {
-        campaign.jobs = parse_num("--jobs", &v)?;
+    if let Some(v) = take_num(args, "--jobs")? {
+        campaign.jobs = v;
     }
-    if let Some(v) = take_value(args, "--max-encryptions")? {
-        campaign.max_stage_encryptions = parse_num("--max-encryptions", &v)?;
+    if let Some(v) = take_num(args, "--max-encryptions")? {
+        campaign.max_stage_encryptions = v;
     }
     campaign.validate()?;
     Ok(campaign)
 }
 
-/// Byte-exact baseline gate shared by `run --check` and
-/// `aggregate --check`.
-fn check_against_baseline(matrix: &ArenaMatrix, baseline_path: &Path) -> Result<ExitCode, String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read {}: {e}", baseline_path.display()))?;
-    let baseline =
-        ArenaMatrix::from_json(&text).map_err(|e| format!("{}: {e}", baseline_path.display()))?;
+/// `--check [--baseline FILE]`, shared by `run` and `aggregate`: the
+/// baseline to gate against, when `--check` is given. It is loaded up
+/// front, so a missing or malformed baseline fails (exit 2) before any
+/// cell runs — never a pass, never a bootstrap.
+fn baseline_arg(args: &mut Vec<String>) -> Result<Option<(PathBuf, ArenaMatrix)>, String> {
+    let check = take_switch(args, "--check");
+    let path = take_value(args, "--baseline")?.map_or_else(
+        || grinch_obs::paths::baselines_dir().join("ARENA_MATRIX.json"),
+        PathBuf::from,
+    );
+    if !check {
+        return Ok(None);
+    }
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let baseline = ArenaMatrix::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(Some((path, baseline)))
+}
+
+/// Writes the matrix to `out`, then gates it byte for byte against the
+/// baseline if there is one: exit 1 on drift.
+fn write_and_check(
+    matrix: &ArenaMatrix,
+    out: &Path,
+    baseline: Option<(PathBuf, ArenaMatrix)>,
+) -> Result<ExitCode, String> {
+    write_file(out, &matrix.to_json())?;
+    eprintln!("grinch-campaign: matrix written to {}", out.display());
+    let Some((path, baseline)) = baseline else {
+        return Ok(ExitCode::SUCCESS);
+    };
     match matrix.compare(&baseline) {
         Ok(()) => {
             eprintln!(
                 "grinch-campaign: matrix matches baseline {}",
-                baseline_path.display()
+                path.display()
             );
             Ok(ExitCode::SUCCESS)
         }
@@ -167,44 +166,83 @@ fn check_against_baseline(matrix: &ArenaMatrix, baseline_path: &Path) -> Result<
     }
 }
 
+/// Writes `BENCH_arena.json` to the results dir and appends one
+/// `grinch-run/v1` record named `arena` to the run ledger
+/// (`GRINCH_LEDGER=0` opts out). The matrix artifact stays byte-stable:
+/// wall time lives only here. Only the cells this invocation ran count
+/// toward the cell-trial rate; a run that ran none records no wall
+/// section.
+fn record_run(campaign: &CampaignConfig, ran_cells: usize, wall_ns: u64) -> Result<(), String> {
+    let mut bench = BenchReport {
+        name: "arena".into(),
+        metrics: vec![
+            ("cells".into(), campaign.num_cells() as f64),
+            ("trials".into(), campaign.trials as f64),
+        ],
+        wall: Vec::new(),
+    };
+    if ran_cells > 0 {
+        let cell_trials = (ran_cells * campaign.trials) as f64;
+        bench.push_wall(WallSection::new("cells", wall_ns, cell_trials).with_rate("cells/sec"));
+        eprintln!(
+            "grinch-campaign: {cell_trials:.0} cell-trials in {:.2} s ({:.1} cells/s)",
+            wall_ns as f64 / 1e9,
+            bench.wall[0].throughput
+        );
+    }
+    let bench_path = grinch_obs::paths::results_dir().join("BENCH_arena.json");
+    write_file(&bench_path, &bench.to_json())?;
+    eprintln!("grinch-campaign: bench report -> {}", bench_path.display());
+    if let Some(ledger) = grinch_obs::history::append_run(&bench, None, Some(campaign.seed)) {
+        eprintln!(
+            "grinch-campaign: run ledger appended -> {}",
+            ledger.display()
+        );
+    }
+    Ok(())
+}
+
 fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
     let campaign = campaign_from_args(&mut args)?;
-    let shards = match take_value(&mut args, "--shards")? {
-        None => 1usize,
-        Some(v) => parse_num("--shards", &v)?,
-    }
-    .max(1);
-    let only_shard = match take_value(&mut args, "--shard")? {
-        None => None,
-        Some(v) => Some(parse_num::<usize>("--shard", &v)?),
-    };
-    let journal_dir = take_value(&mut args, "--journal-dir")?
-        .map(PathBuf::from)
-        .unwrap_or_else(default_journal_dir);
-    let throttle_ms = match take_value(&mut args, "--throttle-ms")? {
-        None => 0,
-        Some(v) => parse_num::<u64>("--throttle-ms", &v)?,
-    };
+    let shards = take_num(&mut args, "--shards")?.unwrap_or(1usize).max(1);
+    let only_shard: Option<usize> = take_num(&mut args, "--shard")?;
+    let journal_dir =
+        take_value(&mut args, "--journal-dir")?.map_or_else(default_journal_dir, PathBuf::from);
+    let throttle_ms = take_num(&mut args, "--throttle-ms")?.unwrap_or(0);
     let plan = ShardPlan::new(&campaign, shards);
     let out = take_value(&mut args, "--out")?
-        .map(PathBuf::from)
-        .unwrap_or_else(|| journal_dir.join(plan.matrix_name()));
-    let check = take_switch(&mut args, "--check");
-    let baseline_path = take_value(&mut args, "--baseline")?
-        .map(PathBuf::from)
-        .unwrap_or_else(|| grinch_obs::paths::baselines_dir().join("ARENA_MATRIX.json"));
+        .map_or_else(|| journal_dir.join(plan.matrix_name()), PathBuf::from);
+    let svg = take_value(&mut args, "--svg")?;
+    let baseline = baseline_arg(&mut args)?;
+    let live_addr = take_value(&mut args, "--live")?;
+    let live_interval_ms = take_num(&mut args, "--live-interval-ms")?.unwrap_or(250);
+    let watchdog_ms = take_num(&mut args, "--watchdog-ms")?.unwrap_or(5_000);
+    let linger_secs = take_num(&mut args, "--linger-secs")?.unwrap_or(0);
     reject_leftover(&args)?;
 
-    if let Some(index) = only_shard {
-        if index >= shards {
+    let run_list: Vec<usize> = match only_shard {
+        Some(index) if index >= shards => {
             return Err(format!("--shard {index} out of range (--shards {shards})"));
         }
-    }
-    let run_list: Vec<usize> = match only_shard {
         Some(index) => vec![index],
         None => (0..shards).collect(),
     };
 
+    let live = match live_addr {
+        None => None,
+        Some(addr) => {
+            let mut opts = LiveOptions::new(addr, format!("campaign {}", plan.campaign_id));
+            opts.stream_interval = Duration::from_millis(live_interval_ms);
+            opts.watchdog_threshold = Duration::from_millis(watchdog_ms);
+            let plane = LivePlane::start(&campaign, opts)
+                .map_err(|e| format!("cannot start live plane: {e}"))?;
+            eprintln!(
+                "grinch-campaign: live plane listening on http://{}",
+                plane.addr()
+            );
+            Some(plane)
+        }
+    };
     eprintln!(
         "grinch-campaign: campaign {} — {} cells x {} trials over {} shard(s)",
         plan.campaign_id,
@@ -212,9 +250,19 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
         campaign.trials,
         shards
     );
+    let sender = live.as_ref().map(LivePlane::sender);
+    let started = Instant::now();
+    let mut ran_cells = 0;
     for index in run_list {
         let path = plan.journal_path(&journal_dir, index);
-        let outcome = run_journaled(&campaign, &path, Some((index, shards)), None, throttle_ms)?;
+        let outcome = run_journaled(
+            &campaign,
+            &path,
+            Some((index, shards)),
+            sender.as_ref(),
+            throttle_ms,
+        )?;
+        ran_cells += outcome.ran_cells;
         eprintln!(
             "grinch-campaign: shard {index}/{shards}: {} cells reused, {} run -> {}",
             outcome.reused_cells,
@@ -222,6 +270,22 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
             path.display()
         );
     }
+    let wall_ns = started.elapsed().as_nanos() as u64;
+    drop(sender);
+    if let Some(mut plane) = live {
+        // Flush the pipeline so /progress reports done and the final
+        // metrics are folded, then keep the endpoints up for late scrapers.
+        plane.finish();
+        if linger_secs > 0 {
+            eprintln!(
+                "grinch-campaign: live plane lingering {linger_secs}s at http://{}",
+                plane.addr()
+            );
+            std::thread::sleep(Duration::from_secs(linger_secs));
+        }
+        plane.shutdown();
+    }
+    record_run(&campaign, ran_cells, wall_ns)?;
 
     // Aggregate whatever the directory now covers. A partial run (--shard)
     // reports what is still missing instead of failing.
@@ -238,19 +302,17 @@ fn cmd_run(mut args: Vec<String>) -> Result<ExitCode, String> {
     }
     let matrix = agg.matrix()?;
     print!("{}", matrix.heat(Metric::SuccessRate).ascii());
-    write_file(&out, &matrix.to_json())?;
-    eprintln!("grinch-campaign: matrix written to {}", out.display());
-
-    if check {
-        return check_against_baseline(&matrix, &baseline_path);
+    print!("{}", matrix.heat(Metric::EntropyBits).ascii());
+    if let Some(svg_path) = svg {
+        write_file(&svg_path, &matrix.heat(Metric::SuccessRate).svg())?;
+        eprintln!("grinch-campaign: heatmap written to {svg_path}");
     }
-    Ok(ExitCode::SUCCESS)
+    write_and_check(&matrix, &out, baseline)
 }
 
 fn cmd_status(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let journal_dir = take_value(&mut args, "--journal-dir")?
-        .map(PathBuf::from)
-        .unwrap_or_else(default_journal_dir);
+    let journal_dir =
+        take_value(&mut args, "--journal-dir")?.map_or_else(default_journal_dir, PathBuf::from);
     reject_leftover(&args)?;
 
     let paths = discover_journals(&journal_dir)?;
@@ -313,15 +375,11 @@ fn cmd_status(mut args: Vec<String>) -> Result<ExitCode, String> {
 }
 
 fn cmd_aggregate(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let journal_dir = take_value(&mut args, "--journal-dir")?
-        .map(PathBuf::from)
-        .unwrap_or_else(default_journal_dir);
+    let journal_dir =
+        take_value(&mut args, "--journal-dir")?.map_or_else(default_journal_dir, PathBuf::from);
     let campaign_filter = take_value(&mut args, "--campaign")?;
     let out = take_value(&mut args, "--out")?.map(PathBuf::from);
-    let check = take_switch(&mut args, "--check");
-    let baseline_path = take_value(&mut args, "--baseline")?
-        .map(PathBuf::from)
-        .unwrap_or_else(|| grinch_obs::paths::baselines_dir().join("ARENA_MATRIX.json"));
+    let baseline = baseline_arg(&mut args)?;
     reject_leftover(&args)?;
 
     let mut paths = discover_journals(&journal_dir)?;
@@ -341,13 +399,7 @@ fn cmd_aggregate(mut args: Vec<String>) -> Result<ExitCode, String> {
         agg.results.len()
     );
     let out = out.unwrap_or_else(|| journal_dir.join(format!("CAMPAIGN_{}.json", agg.campaign_id)));
-    write_file(&out, &matrix.to_json())?;
-    eprintln!("grinch-campaign: matrix written to {}", out.display());
-
-    if check {
-        return check_against_baseline(&matrix, &baseline_path);
-    }
-    Ok(ExitCode::SUCCESS)
+    write_and_check(&matrix, &out, baseline)
 }
 
 fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, String> {
@@ -362,25 +414,22 @@ fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, String> {
     if let Some(v) = take_value(&mut args, "--journal-dir")? {
         opts.journal_dir = PathBuf::from(v);
     }
-    if let Some(v) = take_value(&mut args, "--queue-capacity")? {
-        opts.queue_capacity = parse_num("--queue-capacity", &v)?;
+    if let Some(v) = take_num(&mut args, "--queue-capacity")? {
+        opts.queue_capacity = v;
     }
-    if let Some(v) = take_value(&mut args, "--shards")? {
-        opts.shards = parse_num::<usize>("--shards", &v)?.max(1);
+    if let Some(v) = take_num::<usize>(&mut args, "--shards")? {
+        opts.shards = v.max(1);
     }
-    if let Some(v) = take_value(&mut args, "--jobs")? {
-        opts.jobs = parse_num("--jobs", &v)?;
+    if let Some(v) = take_num(&mut args, "--jobs")? {
+        opts.jobs = v;
     }
-    if let Some(v) = take_value(&mut args, "--throttle-ms")? {
-        opts.throttle_ms = parse_num("--throttle-ms", &v)?;
+    if let Some(v) = take_num(&mut args, "--throttle-ms")? {
+        opts.throttle_ms = v;
     }
-    if let Some(v) = take_value(&mut args, "--retry-after-secs")? {
-        opts.retry_after_secs = parse_num("--retry-after-secs", &v)?;
+    if let Some(v) = take_num(&mut args, "--retry-after-secs")? {
+        opts.retry_after_secs = v;
     }
-    let duration_secs = match take_value(&mut args, "--duration-secs")? {
-        None => 0u64,
-        Some(v) => parse_num("--duration-secs", &v)?,
-    };
+    let duration_secs = take_num(&mut args, "--duration-secs")?.unwrap_or(0);
     reject_leftover(&args)?;
 
     let handle = serve(opts).map_err(|e| format!("cannot start serve mode: {e}"))?;
@@ -402,25 +451,11 @@ fn cmd_serve(mut args: Vec<String>) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if args.is_empty() {
-        print!("{USAGE}");
-        return ExitCode::from(2);
-    }
-    let cmd = args.remove(0);
-    let result = match cmd.as_str() {
+    cli::main("grinch-campaign", USAGE, |cmd, args| match cmd {
         "run" => cmd_run(args),
         "status" => cmd_status(args),
         "aggregate" => cmd_aggregate(args),
         "serve" => cmd_serve(args),
         other => Err(format!("unknown subcommand {other:?}")),
-    };
-    match result {
-        Ok(code) => code,
-        Err(message) => fail(&message),
-    }
+    })
 }

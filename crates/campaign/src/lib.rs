@@ -4,15 +4,15 @@
 //! engine: sharded work distribution, streaming journals, checkpointed
 //! resume, and an HTTP serve mode.
 //!
-//! `grinch-arena run` is a one-shot process — fine for the CI smoke grid,
-//! wrong for the full evaluation matrix, which wants to survive restarts,
-//! spread over invocations (or machines), and report progress while it
-//! runs. This crate adds that operational layer without touching the
-//! determinism contract: every cell stays a pure function of
-//! `(config identity, cell_index)`, so **any** shard count, shard
-//! ordering, worker count or kill/resume history re-aggregates to a
-//! matrix byte-identical to a one-shot `grinch-arena/v1` run (pinned by
-//! test against the committed baseline).
+//! `grinch-campaign run` is the one way to sweep the arena grid. The full
+//! evaluation matrix wants to survive restarts, spread over invocations
+//! (or machines), and report progress while it runs; this crate adds
+//! that operational layer without touching the determinism contract:
+//! every cell stays a pure function of `(config identity, cell_index)`,
+//! so **any** shard count, shard ordering, worker count or kill/resume
+//! history re-aggregates to a matrix byte-identical to a one-shot
+//! [`run_campaign`](grinch_arena::run_campaign) (pinned by test against
+//! the committed baseline).
 //!
 //! * [`shard`] — [`ShardPlan`]: the deterministic partition of the cell
 //!   grid into shards, keyed by the same splitmix64 per-cell seed chain
@@ -31,7 +31,8 @@
 //! The `grinch-campaign` binary wires it into a CLI:
 //!
 //! ```text
-//! grinch-campaign run --preset full --shards 4 --journal-dir results/campaign
+//! grinch-campaign run --preset smoke --check --svg results/arena.svg
+//! grinch-campaign run --preset full --shards 4 --live 127.0.0.1:9090
 //! grinch-campaign status --journal-dir results/campaign
 //! grinch-campaign aggregate --journal-dir results/campaign --out MATRIX.json
 //! grinch-campaign serve --addr 127.0.0.1:9091 --queue-capacity 4

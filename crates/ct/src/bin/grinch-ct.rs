@@ -16,13 +16,13 @@
 //!
 //! Exit codes: `0` clean / agreement, `1` deny-level violation or
 //! static-vs-empirical disagreement, `2` usage or I/O error (including "no
-//! .rs sources under <path>"). Argument parsing is hand-rolled — the build
-//! environment is offline and the surface is three subcommands.
+//! .rs sources under <path>"; see [`grinch_obs::cli`]).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use grinch_ct::{analyze_dir_with, cross_check, determinism_dir, DenyLevel, TargetConfig};
+use grinch_obs::cli::{self, reject_leftover, take_switch, take_value, write_file};
 use grinch_telemetry::Snapshot;
 
 const USAGE: &str = "\
@@ -72,41 +72,6 @@ suppressions:
   does the same for the determinism lint. Suppressed findings stay in the
   report (and surface as SARIF suppressions).
 ";
-
-fn fail(message: &str) -> ExitCode {
-    eprintln!("grinch-ct: {message}");
-    ExitCode::from(2)
-}
-
-/// Pulls the value following a `--flag` out of `args`, if present.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) if i + 1 < args.len() => {
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(value))
-        }
-        Some(_) => Err(format!("{flag} needs a value")),
-    }
-}
-
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
-fn reject_leftover(args: &[String]) -> Result<(), String> {
-    match args.first() {
-        Some(unknown) => Err(format!("unexpected argument {unknown:?}")),
-        None => Ok(()),
-    }
-}
 
 fn line_bytes_arg(args: &mut Vec<String>) -> Result<Option<u64>, String> {
     match take_value(args, "--line-bytes")? {
@@ -168,11 +133,10 @@ fn emit_report(
 ) -> Result<ExitCode, String> {
     let rendered = report.to_json();
     if let Some(out) = out {
-        std::fs::write(out, &rendered).map_err(|e| format!("cannot write {out}: {e}"))?;
+        write_file(out, &rendered)?;
     }
     if let Some(sarif_path) = sarif {
-        let doc = grinch_ct::sarif::to_sarif(report);
-        std::fs::write(sarif_path, &doc).map_err(|e| format!("cannot write {sarif_path}: {e}"))?;
+        write_file(sarif_path, &grinch_ct::sarif::to_sarif(report))?;
     }
     if json {
         print!("{rendered}");
@@ -283,24 +247,10 @@ fn cmd_cross_validate(mut args: Vec<String>) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if args.is_empty() {
-        print!("{USAGE}");
-        return ExitCode::from(2);
-    }
-    let cmd = args.remove(0);
-    let result = match cmd.as_str() {
+    cli::main("grinch-ct", USAGE, |cmd, args| match cmd {
         "check" => cmd_check(args),
         "determinism" => cmd_determinism(args),
         "cross-validate" => cmd_cross_validate(args),
         other => Err(format!("unknown subcommand {other:?}")),
-    };
-    match result {
-        Ok(code) => code,
-        Err(message) => fail(&message),
-    }
+    })
 }

@@ -19,15 +19,15 @@
 //! ```
 //!
 //! Exit codes: `0` success (including baseline bootstrap), `1` regression
-//! gate / exposition-format failure, `2` usage or I/O error. Argument
-//! parsing is hand-rolled — the build environment is offline and the
-//! surface is a handful of subcommands.
+//! gate / exposition-format failure, `2` usage or I/O error (see
+//! [`grinch_obs::cli`]).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use grinch_obs::bench::check_or_bootstrap;
+use grinch_obs::cli::{self, reject_leftover, take_num, take_switch, take_value, write_file};
 use grinch_obs::history::{metric_series, run_names, trend_rows, Ledger, SentinelConfig, TrendRow};
 use grinch_obs::live::{http_get, validate_exposition};
 use grinch_obs::{
@@ -55,7 +55,7 @@ usage:
       first); --folded writes collapsed stacks for inferno-flamegraph /
       flamegraph.pl / speedscope
   grinch-report tail <host:port> [--interval-ms N] [--once]
-      terminal HUD for a live `grinch-arena run --live` campaign: polls
+      terminal HUD for a live `grinch-campaign run --live` campaign: polls
       /progress every N ms (default 500) and redraws until the campaign
       reports done; --once prints a single snapshot and exits
   grinch-report promcheck <scrape.txt>
@@ -88,43 +88,8 @@ environment:
   the default workspace-rooted locations.
 ";
 
-fn fail(message: &str) -> ExitCode {
-    eprintln!("grinch-report: {message}");
-    ExitCode::from(2)
-}
-
 fn load(path: &str) -> Result<Snapshot, String> {
     Snapshot::from_jsonl_file(path).map_err(|e| format!("cannot read trace: {e}"))
-}
-
-/// Pulls the value following a `--flag` out of `args`, if present.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) if i + 1 < args.len() => {
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(value))
-        }
-        Some(_) => Err(format!("{flag} needs a value")),
-    }
-}
-
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
-fn reject_leftover(args: &[String]) -> Result<(), String> {
-    match args.first() {
-        Some(unknown) => Err(format!("unexpected argument {unknown:?}")),
-        None => Ok(()),
-    }
 }
 
 fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, String> {
@@ -142,7 +107,7 @@ fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, String> {
     );
     if let Some(out) = chrome_out {
         let doc = chrome_trace_json(&snapshot);
-        std::fs::write(&out, &doc).map_err(|e| format!("cannot write {out}: {e}"))?;
+        write_file(&out, &doc)?;
         println!("wrote Chrome trace: {out} ({} bytes)", doc.len());
     }
     Ok(ExitCode::SUCCESS)
@@ -155,7 +120,7 @@ fn cmd_heatmap(mut args: Vec<String>) -> Result<ExitCode, String> {
     let heat = Heatmap::from_snapshot(&load(&trace)?);
     print!("{}", heat.ascii());
     if let Some(out) = svg_out {
-        std::fs::write(&out, heat.svg()).map_err(|e| format!("cannot write {out}: {e}"))?;
+        write_file(&out, &heat.svg())?;
         println!("wrote SVG heatmap: {out}");
     }
     Ok(ExitCode::SUCCESS)
@@ -184,7 +149,7 @@ fn cmd_profile(mut args: Vec<String>) -> Result<ExitCode, String> {
     let profile = SpanProfile::from_snapshot(&load(&trace)?);
     print!("{}", profile.report());
     if let Some(out) = folded_out {
-        std::fs::write(&out, profile.folded()).map_err(|e| format!("cannot write {out}: {e}"))?;
+        write_file(&out, &profile.folded())?;
         println!(
             "wrote collapsed stacks: {out} ({} stacks; feed to inferno-flamegraph or flamegraph.pl)",
             profile.lines.len()
@@ -286,12 +251,7 @@ fn progress_bar(done: u64, total: u64, width: u64) -> String {
 }
 
 fn cmd_tail(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let interval_ms = match take_value(&mut args, "--interval-ms")? {
-        None => 500,
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| format!("--interval-ms: invalid value {v:?}"))?,
-    };
+    let interval_ms = take_num(&mut args, "--interval-ms")?.unwrap_or(500);
     let once = take_switch(&mut args, "--once");
     let addr = args.pop().ok_or("tail: missing <host:port>")?;
     reject_leftover(&args)?;
@@ -304,7 +264,7 @@ fn cmd_tail(mut args: Vec<String>) -> Result<ExitCode, String> {
             Err(e) => {
                 eprintln!(
                     "grinch-report: no live plane at {addr} ({e}) — start one with \
-                     `grinch-arena run --live {addr}`"
+                     `grinch-campaign run --live {addr}`"
                 );
                 return Ok(ExitCode::FAILURE);
             }
@@ -393,16 +353,11 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, String> {
                 report.wall = prev.wall;
             }
         }
-        std::fs::write(&report_path, report.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", report_path.display()))?;
+        write_file(&report_path, &report.to_json())?;
 
         let baseline_path = baselines.join(format!("BENCH_{name}.json"));
         if write_baselines {
-            if let Some(parent) = baseline_path.parent() {
-                std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
-            }
-            std::fs::write(&baseline_path, report.without_wall().to_json())
-                .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
+            write_file(&baseline_path, &report.without_wall().to_json())?;
             println!(
                 "{name}: baseline refreshed ({} metrics)",
                 report.metrics.len()
@@ -461,7 +416,7 @@ fn load_ledger(args: &mut Vec<String>) -> Result<Vec<grinch_obs::RunRecord>, Str
         .map_err(|e| format!("cannot load ledger: {e}"))?;
     if records.is_empty() {
         return Err(format!(
-            "ledger {} is empty — run quickstart, a bench bin or `grinch-arena run` \
+            "ledger {} is empty — run quickstart, a bench bin or `grinch-campaign run` \
              first (they append grinch-run/v1 records automatically)",
             ledger.path().display()
         ));
@@ -659,19 +614,14 @@ fn cmd_trend(mut args: Vec<String>) -> Result<ExitCode, String> {
             ("ledger".to_string(), rows)
         };
         let svg = grinch_obs::history::trend_svg(&title, &rows);
-        std::fs::write(&out, &svg).map_err(|e| format!("cannot write {out}: {e}"))?;
+        write_file(&out, &svg)?;
         println!("wrote trend chart: {out} ({} series)", rows.len());
     }
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_postmortem(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let events = match take_value(&mut args, "--events")? {
-        None => 20,
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| format!("--events: invalid value {v:?}"))?,
-    };
+    let events = take_num(&mut args, "--events")?.unwrap_or(20);
     let dump_path = args.pop().ok_or("postmortem: missing <FLIGHT.json>")?;
     reject_leftover(&args)?;
     let dump =
@@ -681,17 +631,7 @@ fn cmd_postmortem(mut args: Vec<String>) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if argv.is_empty() {
-        print!("{USAGE}");
-        return ExitCode::from(2);
-    }
-    let command = argv.remove(0);
-    let result = match command.as_str() {
+    cli::main("grinch-report", USAGE, |command, argv| match command {
         "trace" => cmd_trace(argv),
         "heatmap" => cmd_heatmap(argv),
         "leakage" => cmd_leakage(argv),
@@ -703,12 +643,6 @@ fn main() -> ExitCode {
         "regress" => cmd_regress(argv),
         "trend" => cmd_trend(argv),
         "postmortem" => cmd_postmortem(argv),
-        other => {
-            return fail(&format!("unknown command {other:?} (try --help)"));
-        }
-    };
-    match result {
-        Ok(code) => code,
-        Err(message) => fail(&message),
-    }
+        other => Err(format!("unknown command {other:?} (try --help)")),
+    })
 }

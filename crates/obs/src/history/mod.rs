@@ -7,7 +7,7 @@
 //! * [`ledger`] — the append-only run ledger
 //!   (`results/ledger/LEDGER.jsonl`, one `grinch-run/v1` record per run),
 //!   appended automatically by quickstart, every bench bin and
-//!   `grinch-arena run`;
+//!   `grinch-campaign run`;
 //! * [`sentinel`] — robust statistics (median/MAD z-scores, two-window
 //!   change-point scan) over the ledger's per-metric series, behind
 //!   `grinch-report regress`;

@@ -20,7 +20,7 @@
 //! * [`live`] — the *during*-the-run half: streamed-delta metric state,
 //!   Prometheus text exposition, campaign progress/health views and a
 //!   zero-dependency HTTP server (`/metrics`, `/progress`, `/healthz`)
-//!   that `grinch-arena run --live` plugs into;
+//!   that `grinch-campaign run --live` plugs into;
 //! * [`profile`] — span-profile aggregation: per-stack self-time totals
 //!   and collapsed-stack `.folded` output for flamegraph tooling;
 //! * [`bench`] — the regression gate: aggregates a run's telemetry into a
@@ -30,6 +30,8 @@
 //!   (`grinch-run/v1` records in `results/ledger/LEDGER.jsonl`), the
 //!   median/MAD regression sentinel with change-point detection, trend
 //!   sparklines/SVG, and the flight-recorder postmortem reader;
+//! * [`cli`] — the argument helpers and `main` dispatch all four
+//!   workspace binaries share;
 //! * [`paths`] — canonical locations (`results/`, `bench/baselines/`,
 //!   `results/ledger/`) that stay correct regardless of the invoking
 //!   working directory.
@@ -51,6 +53,7 @@
 
 pub mod bench;
 pub mod chrome;
+pub mod cli;
 pub mod dashboard;
 pub mod heatmap;
 pub mod history;

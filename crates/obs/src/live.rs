@@ -9,7 +9,8 @@
 //!   cumulative metric view and renders it as Prometheus text exposition
 //!   (`/metrics`);
 //! * [`ProgressView`] / [`WorkerView`] are the generic campaign-progress
-//!   schema a producer (today: `grinch-arena`) keeps updated — cells
+//!   schema a producer (today: the arena's live plane behind
+//!   `grinch-campaign run --live`) keeps updated — cells
 //!   started/completed, per-worker current cell, seed, encryptions,
 //!   heartbeat ages (`/progress`, `/healthz`);
 //! * [`LiveServer`] serves both (plus worker liveness) from a plain
@@ -719,7 +720,7 @@ pub fn default_router(state: Arc<Mutex<LiveState>>) -> Router {
         })
 }
 
-/// The std-only HTTP server behind `grinch-arena run --live` and
+/// The std-only HTTP server behind `grinch-campaign run --live` and
 /// `grinch-campaign serve`.
 ///
 /// Dispatches through a [`Router`] — no async runtime, no HTTP crate; one

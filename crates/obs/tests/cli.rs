@@ -375,7 +375,7 @@ fn tail_against_a_dead_plane_exits_1_with_a_clear_error() {
         err.contains("no live plane at 127.0.0.1:1"),
         "stderr:\n{err}"
     );
-    assert!(err.contains("grinch-arena run --live"), "stderr:\n{err}");
+    assert!(err.contains("grinch-campaign run --live"), "stderr:\n{err}");
 }
 
 #[test]

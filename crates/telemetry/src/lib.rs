@@ -856,62 +856,6 @@ macro_rules! span {
     };
 }
 
-/// The publishing interface components depend on, so simulation crates can
-/// stay generic over "something that records" without naming [`Telemetry`].
-/// Implemented by [`Telemetry`] (records) and [`NullRecorder`] (discards).
-pub trait Recorder {
-    /// Adds `delta` to a named counter.
-    fn counter_add(&self, name: &str, delta: u64);
-    /// Sets a named gauge.
-    fn gauge_set(&self, name: &str, value: f64);
-    /// Records a histogram sample.
-    fn record_value(&self, name: &str, value: u64);
-    /// Advances the simulated clock.
-    fn advance_time_ns(&self, delta_ns: u64);
-    /// Reads the simulated clock.
-    fn now_ns(&self) -> u64;
-}
-
-impl Recorder for Telemetry {
-    fn counter_add(&self, name: &str, delta: u64) {
-        Telemetry::counter_add(self, name, delta);
-    }
-
-    fn gauge_set(&self, name: &str, value: f64) {
-        Telemetry::gauge_set(self, name, value);
-    }
-
-    fn record_value(&self, name: &str, value: u64) {
-        Telemetry::record_value(self, name, value);
-    }
-
-    fn advance_time_ns(&self, delta_ns: u64) {
-        Telemetry::advance_time_ns(self, delta_ns);
-    }
-
-    fn now_ns(&self) -> u64 {
-        Telemetry::now_ns(self)
-    }
-}
-
-/// A [`Recorder`] that discards everything.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn counter_add(&self, _name: &str, _delta: u64) {}
-
-    fn gauge_set(&self, _name: &str, _value: f64) {}
-
-    fn record_value(&self, _name: &str, _value: u64) {}
-
-    fn advance_time_ns(&self, _delta_ns: u64) {}
-
-    fn now_ns(&self) -> u64 {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1006,22 +950,6 @@ mod tests {
         assert!(!tel.is_enabled());
         assert_eq!(tel.now_ns(), 0);
         assert_eq!(tel.snapshot(), Snapshot::default());
-    }
-
-    #[test]
-    fn null_recorder_is_a_recorder() {
-        fn exercise(r: &dyn Recorder) {
-            r.counter_add("a", 1);
-            r.gauge_set("b", 2.0);
-            r.record_value("c", 3);
-            r.advance_time_ns(4);
-            let _ = r.now_ns();
-        }
-        exercise(&NullRecorder);
-        let tel = Telemetry::new();
-        exercise(&tel);
-        assert_eq!(tel.counter("a"), 1);
-        assert_eq!(tel.now_ns(), 4);
     }
 
     #[test]
