@@ -378,10 +378,13 @@ pub fn spawn_watchdog(
                     }
                 }
                 locked.stalls_flagged += newly_stalled.len() as u64;
+                let campaign = locked.progress.campaign.clone();
                 drop(locked);
                 for (id, age) in newly_stalled {
+                    // Library code: name the campaign (the `/progress`
+                    // label), not the binary that hosts the live plane.
                     eprintln!(
-                        "grinch-arena: watchdog: worker {id} stalled \
+                        "{campaign}: watchdog: worker {id} stalled \
                          (no heartbeat for {} ms, threshold {} ms)",
                         age.as_millis(),
                         threshold.as_millis()

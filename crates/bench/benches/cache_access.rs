@@ -11,12 +11,18 @@
 //! attacker ways of a partitioned set (`partition_thrash`), and under a
 //! cache re-keyed every 64 accesses (`prime_rekey64`). See DESIGN.md §15.
 //!
+//! `reload_flush16` times Flush+Reload's reload phase: one
+//! `reload_and_flush_from` over the 16 S-box lines of the paper's layout,
+//! half of them resident (the victim's footprint), so hits and misses mix.
+//! See DESIGN.md §11.
+//!
 //! Set `GRINCH_BENCH_SMOKE=1` to shrink sampling for CI smoke runs.
 
 use std::time::Duration;
 
 use cache_sim::{Cache, CacheConfig, Domain, IndexMapping, WayPartition};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use gift_cipher::TableLayout;
 use grinch_telemetry::Telemetry;
 
 fn smoke(group: &mut criterion::BenchmarkGroup<'_>) {
@@ -95,6 +101,21 @@ fn bench_cache_access(c: &mut Criterion) {
             })
         });
     }
+
+    let layout = TableLayout::default();
+    let sbox_lines: Vec<u64> = (0..16u8).map(|i| layout.sbox_entry_addr(i)).collect();
+    let mut reload = Cache::new(base);
+    group.bench_function("reload_flush16", |b| {
+        b.iter(|| {
+            // The victim's footprint: the first eight S-box lines.
+            reload.access_batch_from(&sbox_lines[..8], Domain::Victim, |_, _| {});
+            let mut hits = 0u32;
+            reload.reload_and_flush_from(black_box(&sbox_lines), Domain::Attacker, |_, hit| {
+                hits += u32::from(hit);
+            });
+            hits
+        })
+    });
     group.finish();
 }
 

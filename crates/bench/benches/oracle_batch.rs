@@ -1,11 +1,10 @@
-//! Criterion bench for the oracle's batched observation path:
-//! `encrypt_and_probe_batch` over a plaintext batch versus the equivalent
-//! `observe_stage` loop, for both probe mechanics, and for Prime+Probe
+//! Criterion bench for the oracle's observation path: a loop of 64
+//! `observe_stage` calls, for both probe mechanics, and for Prime+Probe
 //! also against the two defenses the arena spends its time on (way
-//! partitioning and a cache re-keyed every 64 accesses). The batched path
-//! reuses scratch observations and publishes telemetry per batch; each
-//! monitored set is primed and probed with one `access_batch_from` — this
-//! bench is the wall-clock evidence for that seam (DESIGN.md §15).
+//! partitioning and a cache re-keyed every 64 accesses). Each monitored
+//! set is primed and probed with one `access_batch_from`, and the
+//! Flush+Reload reload is one `reload_and_flush_from` — this bench is the
+//! wall-clock evidence for those seams (DESIGN.md §11, §15).
 //!
 //! Set `GRINCH_BENCH_SMOKE=1` to shrink sampling for CI smoke runs.
 
@@ -83,17 +82,6 @@ fn bench_oracle_batch(c: &mut Criterion) {
                     lit += looped.observe_stage(black_box(pt), 1).len();
                 }
                 lit
-            })
-        });
-
-        let mut batched = oracle(strategy, defense);
-        group.bench_function(format!("observe64_batch/{label}"), |b| {
-            b.iter(|| {
-                batched
-                    .encrypt_and_probe_batch(black_box(&pts), 1)
-                    .iter()
-                    .map(|o| o.len())
-                    .sum::<usize>()
             })
         });
     }

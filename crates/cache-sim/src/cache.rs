@@ -370,13 +370,7 @@ impl Cache {
     /// to the inliner, a 16-line batch ran 1.2–1.4× slower.
     #[inline(always)]
     fn access_core(&mut self, addr: u64, domain: Domain) -> (AccessOutcome, bool) {
-        let remapped = self.mapper.note_access();
-        if remapped {
-            // Epoch boundary: the mapping re-keyed, so every resident line
-            // now lives at an address the new permutation cannot find.
-            self.invalidate_all();
-            self.stats.remaps += 1;
-        }
+        let remapped = self.note_access();
         let line = self.config.line_of(addr);
         debug_assert_ne!(
             line, INVALID_LINE,
@@ -420,6 +414,30 @@ impl Cache {
                 }
             }
         };
+        if !hit {
+            self.occupied[set_idx >> 6] |= 1 << (set_idx & 63);
+        }
+        (self.count_access(hit, evicted_line), remapped)
+    }
+
+    /// Advances the mapper's epoch by one access; on a rekey, orphans
+    /// every resident line. Returns whether the mapping re-keyed.
+    #[inline(always)]
+    fn note_access(&mut self) -> bool {
+        let remapped = self.mapper.note_access();
+        if remapped {
+            // Epoch boundary: the mapping re-keyed, so every resident line
+            // now lives at an address the new permutation cannot find.
+            self.invalidate_all();
+            self.stats.remaps += 1;
+        }
+        remapped
+    }
+
+    /// Counts one access's hit or miss (and eviction) in the statistics
+    /// and returns its outcome.
+    #[inline(always)]
+    fn count_access(&mut self, hit: bool, evicted_line: Option<u64>) -> AccessOutcome {
         if hit {
             self.stats.hits += 1;
         } else {
@@ -427,20 +445,67 @@ impl Cache {
             if evicted_line.is_some() {
                 self.stats.evictions += 1;
             }
-            self.occupied[set_idx >> 6] |= 1 << (set_idx & 63);
         }
-        (
-            AccessOutcome {
-                hit,
-                latency: if hit {
-                    self.config.hit_latency
-                } else {
-                    self.config.miss_latency
-                },
-                evicted_line,
+        AccessOutcome {
+            hit,
+            latency: if hit {
+                self.config.hit_latency
+            } else {
+                self.config.miss_latency
             },
-            remapped,
-        )
+            evicted_line,
+        }
+    }
+
+    /// The telemetry-free core of [`Cache::reload_and_flush_from`]: the
+    /// net effect of accessing `addr` and flushing its line straight
+    /// after, in one lookup. A hit removes the line. A miss into a way
+    /// range with a free way leaves the range as it was (the fill and the
+    /// flush cancel). A miss into a full range removes the range's next
+    /// victim, the line the fill would have displaced: the oldest under
+    /// LRU and FIFO, the drawn way under Random. Statistics count the
+    /// access and the flush as the two-step sequence does.
+    #[inline(always)]
+    fn reload_flush_core(&mut self, addr: u64, domain: Domain) -> (AccessOutcome, bool) {
+        let remapped = self.note_access();
+        let line = self.config.line_of(addr);
+        debug_assert_ne!(
+            line, INVALID_LINE,
+            "line address collides with the invalid sentinel"
+        );
+        let set_idx = self.mapper.set_of(line, self.config.num_sets);
+        let policy = self.config.replacement;
+        let (span, ring_idx) = self.locate(set_idx, domain);
+        let (ways, ring) = (&mut self.lines[span], &mut self.rings[ring_idx]);
+        let full = ring.count as usize == ways.len();
+        let (hit, evicted_line) = match policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => match ring.find(ways, line) {
+                Some(k) => {
+                    ring.remove(ways, k);
+                    (true, None)
+                }
+                None if full => (false, Some(ring.remove(ways, 0))),
+                None => (false, None),
+            },
+            ReplacementPolicy::Random => match ways.iter_mut().find(|l| **l == line) {
+                Some(way) => {
+                    *way = INVALID_LINE;
+                    ring.count -= 1;
+                    (true, None)
+                }
+                None if full => {
+                    let victim = self.random[set_idx].random_way(ways.len());
+                    ring.count -= 1;
+                    (
+                        false,
+                        Some(std::mem::replace(&mut ways[victim], INVALID_LINE)),
+                    )
+                }
+                None => (false, None),
+            },
+        };
+        self.stats.flushes += 1;
+        (self.count_access(hit, evicted_line), remapped)
     }
 
     /// Performs a read access at `addr` on behalf of `domain`, filling the
@@ -493,8 +558,10 @@ impl Cache {
     /// Flush+Reload's reload phase as one batched cycle: for each address,
     /// access it (timing the reload), hand `sink` the address and whether
     /// it hit, then flush the line again so the next observation starts
-    /// cold. Operation order per address is exactly the looped
-    /// access/flush sequence; telemetry is published once for the batch.
+    /// cold. Cache state, statistics and telemetry are exactly those of
+    /// the looped access/flush sequence, but each address costs one
+    /// lookup (see `reload_flush_core`); telemetry is published once for
+    /// the batch.
     pub fn reload_and_flush_from(
         &mut self,
         addrs: &[u64],
@@ -503,15 +570,10 @@ impl Cache {
     ) {
         let mut tally = BatchTally::default();
         for &addr in addrs {
-            let (outcome, remapped) = self.access_core(addr, domain);
+            let (outcome, remapped) = self.reload_flush_core(addr, domain);
             tally.note(&outcome, remapped);
+            tally.flushes += 1;
             sink(addr, outcome.hit);
-            // The access just filled the line, so the flush normally finds
-            // it; counting through flush_core keeps the tally honest in
-            // edge geometries (e.g. duplicate same-line addresses).
-            if self.flush_core(addr, domain) {
-                tally.flushes += 1;
-            }
         }
         self.publish_tally(&tally);
     }

@@ -386,3 +386,57 @@ fn batched_paths_replay_reference_on_same_set_groups() {
         }
     }
 }
+
+#[test]
+fn reload_into_a_full_range_evicts_the_next_victim() {
+    // The one-lookup reload's eviction case, pinned directly: fill one
+    // set's way range, then reload-and-flush a fresh line of the same set
+    // (a miss into a full range) and a line of the fill. The reference
+    // accesses — evicting the oldest line, or the drawn way under Random
+    // — and then flushes.
+    for (i, policy) in POLICIES.into_iter().enumerate() {
+        for partition in [None, Some(WayPartition { victim_ways: 3 })] {
+            let mut cfg = base_config(policy);
+            cfg.partition = partition;
+            let seed = 0x6000 + i as u64;
+            let mut real = Cache::new_seeded(cfg, seed);
+            let mut reference = ReferenceCache::new_seeded(cfg, seed);
+            let stride = (cfg.line_bytes * cfg.num_sets) as u64;
+            for (step, domain) in [Domain::Victim, Domain::Attacker]
+                .into_iter()
+                .cycle()
+                .take(16)
+                .enumerate()
+            {
+                let family = step as u64 * 16;
+                let fill: Vec<u64> = (0..cfg.ways as u64)
+                    .map(|w| (family + w) * stride)
+                    .collect();
+                real.access_batch_from(&fill, domain, |_, _| {});
+                for &a in &fill {
+                    reference.access_from(a, domain);
+                }
+                let reload = [(family + 15) * stride, fill[0]];
+                let evictions = real.stats().evictions;
+                let mut got = Vec::new();
+                real.reload_and_flush_from(&reload, domain, |a, hit| got.push((a, hit)));
+                let want: Vec<_> = reload
+                    .iter()
+                    .map(|&a| {
+                        let hit = reference.access_from(a, domain).hit;
+                        reference.flush_line_from(a, domain);
+                        (a, hit)
+                    })
+                    .collect();
+                assert_eq!(got, want, "{policy:?} {partition:?} step {step}");
+                assert!(!got[0].1, "the fresh line misses");
+                assert_eq!(
+                    real.stats().evictions,
+                    evictions + 1,
+                    "a miss into a full range evicts ({policy:?} {partition:?} step {step})"
+                );
+                assert_same_state(&real, &reference, step as u64);
+            }
+        }
+    }
+}

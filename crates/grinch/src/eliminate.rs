@@ -11,57 +11,97 @@
 use crate::oracle::{ObservedLines, VictimOracle};
 use crate::target::TargetSpec;
 
-/// The surviving `(v_bit, u_bit)` hypotheses for one target segment.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The four `(v_bit, u_bit)` hypotheses in survivor order. Hypothesis `h`
+/// is `(h & 1 != 0, h & 2 != 0)`, i.e. `v | u << 1`.
+const HYPOTHESES: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+
+/// `SURVIVORS[mask]`: the hypotheses whose bits are set in `mask`, in
+/// [`HYPOTHESES`] order (the first `n` entries), and their count `n`.
+static SURVIVORS: [([(bool, bool); 4], usize); 16] = {
+    let mut table = [([(false, false); 4], 0); 16];
+    let mut mask = 0;
+    while mask < 16 {
+        let mut h = 0;
+        while h < 4 {
+            if mask >> h & 1 != 0 {
+                let n = table[mask].1;
+                table[mask].0[n] = HYPOTHESES[h];
+                table[mask].1 = n + 1;
+            }
+            h += 1;
+        }
+        mask += 1;
+    }
+    table
+};
+
+/// The bit of hypothesis `(v, u)` in a [`CandidateSet`] mask.
+fn bit_of(hypothesis: (bool, bool)) -> u8 {
+    1 << (u8::from(hypothesis.0) | u8::from(hypothesis.1) << 1)
+}
+
+/// The surviving `(v_bit, u_bit)` hypotheses for one target segment: a
+/// 4-bit mask, one bit per hypothesis (see [`HYPOTHESES`]), so a stage's
+/// sixteen sets are plain `Copy` values.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct CandidateSet {
-    survivors: Vec<(bool, bool)>,
+    mask: u8,
 }
 
 impl CandidateSet {
     /// All four hypotheses, nothing eliminated yet.
     pub fn full() -> Self {
-        Self {
-            survivors: vec![(false, false), (true, false), (false, true), (true, true)],
-        }
+        Self { mask: 0b1111 }
     }
 
-    /// The surviving hypotheses.
-    pub fn survivors(&self) -> &[(bool, bool)] {
-        &self.survivors
+    /// The surviving hypotheses, always in the order (false, false),
+    /// (true, false), (false, true), (true, true).
+    pub fn survivors(&self) -> &'static [(bool, bool)] {
+        let (list, n) = &SURVIVORS[usize::from(self.mask)];
+        &list[..*n]
     }
 
     /// Whether exactly one hypothesis survives.
     pub fn is_resolved(&self) -> bool {
-        self.survivors.len() == 1
+        self.mask.count_ones() == 1
     }
 
     /// The unique survivor, if resolved.
     pub fn resolved(&self) -> Option<(bool, bool)> {
-        if self.is_resolved() {
-            Some(self.survivors[0])
-        } else {
-            None
-        }
+        self.is_resolved().then(|| self.survivors()[0])
     }
 
     /// Number of surviving hypotheses.
     pub fn len(&self) -> usize {
-        self.survivors.len()
+        self.mask.count_ones() as usize
     }
 
     /// Whether every hypothesis has been eliminated (indicates a broken
     /// observation channel — cannot happen with a sound oracle).
     pub fn is_empty(&self) -> bool {
-        self.survivors.is_empty()
+        self.mask == 0
     }
 
-    /// Removes a specific hypothesis (used by callers that evaluate
-    /// consistency against their own channel model, e.g. the multi-level
-    /// hierarchy experiment). Returns whether it was present.
+    /// Removes a specific hypothesis. Returns whether it was present.
     pub fn remove(&mut self, hypothesis: (bool, bool)) -> bool {
-        let before = self.survivors.len();
-        self.survivors.retain(|&h| h != hypothesis);
-        self.survivors.len() != before
+        let bit = bit_of(hypothesis);
+        let present = self.mask & bit != 0;
+        self.mask &= !bit;
+        present
+    }
+
+    /// Keeps only the hypotheses `(v, u)` for which `keep(v, u)` returns
+    /// `true` (used by callers that evaluate consistency against their own
+    /// channel model, e.g. the multi-level hierarchy experiment). Returns
+    /// how many were eliminated.
+    pub fn retain(&mut self, mut keep: impl FnMut(bool, bool) -> bool) -> usize {
+        let before = self.len();
+        for &(v, u) in self.survivors() {
+            if !keep(v, u) {
+                self.mask &= !bit_of((v, u));
+            }
+        }
+        before - self.len()
     }
 
     /// Applies one observation under the campaign `spec`: eliminates every
@@ -73,10 +113,15 @@ impl CandidateSet {
         spec: &TargetSpec,
         observed: &ObservedLines,
     ) -> usize {
-        let before = self.survivors.len();
-        self.survivors
-            .retain(|&(v, u)| oracle.hypothesis_consistent(spec, observed, v, u));
-        before - self.survivors.len()
+        self.retain(|v, u| oracle.hypothesis_consistent(spec, observed, v, u))
+    }
+}
+
+impl std::fmt::Debug for CandidateSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CandidateSet")
+            .field("survivors", &self.survivors())
+            .finish()
     }
 }
 

@@ -136,8 +136,7 @@ fn measure_two_level(
 
     let mut rng = StdRng::seed_from_u64(0x11e8);
     let mut encryptions = 0u64;
-    let mut candidates: [CandidateSet; GIFT64_SEGMENTS] =
-        core::array::from_fn(|_| CandidateSet::full());
+    let mut candidates = [CandidateSet::full(); GIFT64_SEGMENTS];
     let truth = gift_cipher::Gift64::new(key).round_keys()[0];
 
     'batches: for batch in disjoint_batches(1) {
@@ -209,20 +208,10 @@ fn measure_two_level(
                     let mut progressed = 0usize;
                     for spec in &specs {
                         let set = &mut candidates[spec.segment];
-                        let before = set.len();
-                        let survivors: Vec<(bool, bool)> = set
-                            .survivors()
-                            .iter()
-                            .copied()
-                            .filter(|&(v, u)| {
-                                let idx = spec.expected_index(v, u);
-                                let addr = layout.sbox_entry_addr(idx);
-                                let line = addr / l2_line as u64 * l2_line as u64;
-                                observed.contains(&line)
-                            })
-                            .collect();
-                        *set = rebuild(survivors);
-                        progressed += before - set.len();
+                        progressed += set.retain(|v, u| {
+                            let addr = layout.sbox_entry_addr(spec.expected_index(v, u));
+                            observed.contains(&(addr / l2_line as u64 * l2_line as u64))
+                        });
                         if set.is_empty() {
                             // True hypothesis erased: channel broken.
                             break 'batches;
@@ -257,19 +246,6 @@ fn measure_two_level(
         recovered,
         encryptions,
     }
-}
-
-fn rebuild(survivors: Vec<(bool, bool)>) -> CandidateSet {
-    let mut set = CandidateSet::full();
-    // Retain exactly the given survivors.
-    let keep: std::collections::BTreeSet<(bool, bool)> = survivors.into_iter().collect();
-    let all = [(false, false), (true, false), (false, true), (true, true)];
-    for hyp in all {
-        if !keep.contains(&hyp) {
-            set.remove(hyp);
-        }
-    }
-    set
 }
 
 /// Runs all three settings.

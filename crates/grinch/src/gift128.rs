@@ -23,8 +23,9 @@
 //!       | forced[3] ⊕ rc_bit(t, s)     (bit 3)
 //! ```
 
+use crate::eliminate::CandidateSet;
 use crate::oracle::{ObservationConfig, ObservedLines};
-use cache_sim::{Cache, CacheObserver};
+use cache_sim::{Cache, CacheObserver, Domain};
 use gift_cipher::bitwise::{invert_with_round_keys_128, Gift128};
 use gift_cipher::constants::ROUND_CONSTANTS;
 use gift_cipher::key_schedule::{Key, RoundKey128};
@@ -188,6 +189,10 @@ pub struct VictimOracle128 {
     cache: Cache,
     config: ObservationConfig,
     encryptions: u64,
+    /// Monitored S-box line base addresses.
+    probe_addrs: Vec<u64>,
+    /// The empty line set over `probe_addrs`.
+    empty_lines: ObservedLines,
 }
 
 impl VictimOracle128 {
@@ -208,6 +213,8 @@ impl VictimOracle128 {
         Self {
             cipher: TableGift128::new(key, config.layout),
             cache: Cache::new(config.cache),
+            probe_addrs: config.probe_line_addrs(),
+            empty_lines: ObservedLines::for_config(&config),
             config,
             encryptions: 0,
         }
@@ -227,13 +234,11 @@ impl VictimOracle128 {
     /// a stage-`stage_round` campaign: the probe fires while the victim is
     /// in round `stage_round + probing_round`, and the optional flush
     /// happens right after round `stage_round` (see
-    /// [`crate::oracle::VictimOracle::observe_stage`]).
+    /// [`crate::oracle::VictimOracle::observe_stage`]). As there, no flush
+    /// phase is needed: every observation ends by flushing each monitored
+    /// line right after its reload.
     pub fn observe_stage(&mut self, plaintext: u128, stage_round: usize) -> ObservedLines {
         self.encryptions += 1;
-        let probe_addrs = self.config.probe_line_addrs();
-        for &a in &probe_addrs {
-            self.cache.flush_line(a);
-        }
         let rounds = (stage_round + self.config.probing_round).min(GIFT128_ROUNDS);
         let mut state = plaintext;
         for round in 0..rounds {
@@ -243,13 +248,13 @@ impl VictimOracle128 {
             let mut obs = CacheObserver::new(&mut self.cache);
             state = self.cipher.run_single_round(state, round, &mut obs);
         }
-        let mut observed = ObservedLines::new();
-        for &a in &probe_addrs {
-            if self.cache.access(a).is_hit() {
-                observed.insert(a);
-            }
-            self.cache.flush_line(a);
-        }
+        let mut observed = self.empty_lines;
+        self.cache
+            .reload_and_flush_from(&self.probe_addrs, Domain::Victim, |a, hit| {
+                if hit {
+                    observed.insert(a);
+                }
+            });
         observed
     }
 
@@ -276,7 +281,7 @@ impl VictimOracle128 {
 #[derive(Clone, Debug)]
 pub struct Stage128Result {
     /// Per-segment surviving `(v, u)` hypotheses.
-    pub candidates: Vec<Vec<(bool, bool)>>,
+    pub candidates: [CandidateSet; GIFT128_SEGMENTS],
     /// Encryptions consumed.
     pub encryptions: u64,
     /// Whether the cap was hit.
@@ -286,7 +291,7 @@ pub struct Stage128Result {
 impl Stage128Result {
     /// Whether every segment resolved uniquely.
     pub fn is_resolved(&self) -> bool {
-        self.candidates.iter().all(|c| c.len() == 1)
+        self.candidates.iter().all(CandidateSet::is_resolved)
     }
 
     /// The unique round key, if fully resolved.
@@ -297,7 +302,7 @@ impl Stage128Result {
         let mut v = 0u32;
         let mut u = 0u32;
         for (s, c) in self.candidates.iter().enumerate() {
-            let (vb, ub) = c[0];
+            let (vb, ub) = c.resolved().expect("resolved");
             v |= u32::from(vb) << s;
             u |= u32::from(ub) << s;
         }
@@ -316,15 +321,14 @@ pub fn run_stage_128<R: Rng + ?Sized>(
 ) -> Stage128Result {
     assert_eq!(known_round_keys.len(), stage_round - 1);
     let start = oracle.encryptions();
-    let all: Vec<(bool, bool)> = vec![(false, false), (true, false), (false, true), (true, true)];
-    let mut candidates: Vec<Vec<(bool, bool)>> = vec![all; GIFT128_SEGMENTS];
+    let mut candidates = [CandidateSet::full(); GIFT128_SEGMENTS];
     let mut capped = false;
 
     'batches: for batch in disjoint_batches_128(stage_round) {
         let mut stall_limit = 24u64;
         loop {
             for rotation in 0..16usize {
-                if batch.iter().all(|&s| candidates[s].len() == 1) {
+                if batch.iter().all(|&s| candidates[s].is_resolved()) {
                     break;
                 }
                 // All-ones first (the paper's forcing), randomised patterns
@@ -348,17 +352,15 @@ pub fn run_stage_128<R: Rng + ?Sized>(
                         capped = true;
                         break 'batches;
                     }
-                    if batch.iter().all(|&s| candidates[s].len() == 1) {
+                    if batch.iter().all(|&s| candidates[s].is_resolved()) {
                         break;
                     }
                     let pt = craft_plaintext_128(&specs, known_round_keys, rng);
                     let observed = oracle.observe_stage(pt, stage_round);
                     let mut progressed = 0usize;
                     for spec in &specs {
-                        let before = candidates[spec.segment].len();
-                        candidates[spec.segment]
-                            .retain(|&(v, u)| oracle.hypothesis_consistent(spec, &observed, v, u));
-                        progressed += before - candidates[spec.segment].len();
+                        progressed += candidates[spec.segment]
+                            .retain(|v, u| oracle.hypothesis_consistent(spec, &observed, v, u));
                     }
                     if progressed == 0 {
                         stall += 1;
@@ -372,7 +374,7 @@ pub fn run_stage_128<R: Rng + ?Sized>(
                     }
                 }
             }
-            if batch.iter().all(|&s| candidates[s].len() == 1) {
+            if batch.iter().all(|&s| candidates[s].is_resolved()) {
                 break;
             }
             stall_limit = stall_limit.saturating_mul(8);

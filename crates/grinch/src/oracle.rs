@@ -26,7 +26,6 @@ use gift_cipher::countermeasure::{
     masked_round_keys_64, FullScanGift64, PreloadGift64, WideLineGift64,
 };
 use gift_cipher::{Key, MemoryObserver, NullObserver, TableGift64, TableLayout, GIFT64_ROUNDS};
-use std::collections::BTreeSet;
 
 /// Which probe mechanic the attacker uses (paper Step 2 discusses both and
 /// prefers Flush+Reload).
@@ -157,7 +156,153 @@ impl Default for ObservationConfig {
 }
 
 /// The set of S-box line base addresses a probe found resident.
-pub type ObservedLines = BTreeSet<u64>;
+///
+/// A `Copy` bitmask over the monitored lines: bit `i` stands for the
+/// `i`-th address of [`ObservationConfig::probe_line_addrs`] (at most 64
+/// lines; the 16-entry S-box spans at most 17), so an observation never
+/// allocates and an elimination check is one bit test. The interface
+/// speaks addresses: [`ObservedLines::iter`] and
+/// [`ObservedLines::retain`] visit the lines in ascending address order.
+///
+/// [`ObservedLines::new`] is an empty placeholder for
+/// [`VictimOracle::observe_stage_into`], which gives it the oracle's
+/// geometry; [`ObservedLines::for_config`] builds a set to fill by hand.
+#[derive(Clone, Copy, Default)]
+pub struct ObservedLines {
+    bits: u64,
+    /// Address of the line bit 0 stands for (the first monitored line).
+    base: u64,
+    /// `log2(line_bytes)`: bit `i` stands for `base + (i << shift)`.
+    shift: u32,
+}
+
+impl ObservedLines {
+    /// An empty placeholder set (see the type docs); its own geometry
+    /// covers only byte addresses `0..64`.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty set over `config`'s monitored lines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` monitors more than 64 lines.
+    pub fn for_config(config: &ObservationConfig) -> Self {
+        let lines = config.probe_line_addrs();
+        assert!(
+            lines.len() <= 64,
+            "{} monitored lines do not fit a 64-bit line set",
+            lines.len()
+        );
+        Self {
+            bits: 0,
+            base: lines[0],
+            shift: config.cache.line_bytes.trailing_zeros(),
+        }
+    }
+
+    /// The bit standing for the line at `addr`, if it is one of the set's
+    /// lines.
+    fn bit_of(&self, addr: u64) -> Option<u32> {
+        let offset = addr.checked_sub(self.base)?;
+        let bit = offset >> self.shift;
+        (bit < 64 && offset & ((1 << self.shift) - 1) == 0).then_some(bit as u32)
+    }
+
+    fn addr_of(&self, bit: u32) -> u64 {
+        self.base + (u64::from(bit) << self.shift)
+    }
+
+    /// Removes every line.
+    pub fn clear(&mut self) {
+        self.bits = 0;
+    }
+
+    /// Adds the line at `addr`; returns whether it was absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not the base address of a monitored line.
+    pub fn insert(&mut self, addr: u64) -> bool {
+        let bit = self
+            .bit_of(addr)
+            .unwrap_or_else(|| panic!("{addr:#x} is not a monitored line"));
+        let absent = self.bits & (1 << bit) == 0;
+        self.bits |= 1 << bit;
+        absent
+    }
+
+    /// Whether the line at `addr` is in the set.
+    pub fn contains(&self, addr: &u64) -> bool {
+        self.bit_of(*addr)
+            .is_some_and(|bit| self.bits & (1 << bit) != 0)
+    }
+
+    /// Number of lines in the set.
+    pub fn len(&self) -> usize {
+        self.bits.count_ones() as usize
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.bits == 0
+    }
+
+    /// The line addresses, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u64> {
+        let lines = *self;
+        set_bits(self.bits).map(move |bit| lines.addr_of(bit))
+    }
+
+    /// Keeps only the lines for which `keep` returns `true`, calling it
+    /// once per line in ascending address order.
+    pub fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) {
+        for bit in set_bits(self.bits) {
+            if !keep(self.addr_of(bit)) {
+                self.bits &= !(1 << bit);
+            }
+        }
+    }
+
+    /// Indices of the lines in the set, ascending — positions in
+    /// [`ObservationConfig::probe_line_addrs`], i.e.
+    /// [`ObservationConfig::line_index_of_addr`] of each line.
+    pub(crate) fn line_indices(&self) -> impl Iterator<Item = usize> {
+        set_bits(self.bits).map(|bit| bit as usize)
+    }
+}
+
+/// The positions of the set bits of `bits`, ascending.
+fn set_bits(mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let bit = bits.trailing_zeros();
+            bits &= bits - 1;
+            bit
+        })
+    })
+}
+
+/// Two sets are equal when they hold the same addresses, whatever their
+/// geometry.
+impl PartialEq for ObservedLines {
+    fn eq(&self, other: &Self) -> bool {
+        if (self.base, self.shift) == (other.base, other.shift) {
+            self.bits == other.bits
+        } else {
+            self.iter().eq(other.iter())
+        }
+    }
+}
+
+impl Eq for ObservedLines {}
+
+impl std::fmt::Debug for ObservedLines {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
 
 /// Nominal simulated duration of one GIFT round in nanoseconds, used to
 /// advance the telemetry clock per observed encryption (100 cycles per
@@ -219,9 +364,16 @@ pub struct VictimOracle {
     /// Monitored S-box line base addresses, computed once at construction
     /// so the per-observation path never rebuilds the probe list.
     probe_addrs: Vec<u64>,
-    /// Attacker-owned addresses used by Prime+Probe, one group per
-    /// monitored set.
-    prime_groups: Vec<(u64, Vec<u64>)>,
+    /// The empty line set over `probe_addrs`: each observation starts
+    /// from a copy.
+    empty_lines: ObservedLines,
+    /// Bit of [`ObservedLines`] holding each S-box index's line, so a
+    /// hypothesis check is one bit test.
+    index_bits: [u32; 16],
+    /// Prime+Probe's attacker-owned addresses: `ways` per monitored line,
+    /// in `probe_addrs` order, each group mapping to that line's set.
+    /// Empty for Flush+Reload.
+    prime_addrs: Vec<u64>,
     telemetry: grinch_telemetry::Telemetry,
     /// `Some` iff telemetry is enabled: the campaign-total counters.
     metrics: Option<AttackMetricHandles>,
@@ -232,9 +384,6 @@ pub struct VictimOracle {
     /// Optional false-absence channel applied to every observation before
     /// the attacker (and the telemetry feed) sees it.
     noise: Option<NoiseChannel>,
-    /// Scratch observation buffer backing
-    /// [`VictimOracle::encrypt_and_probe_batch`]; reused across batches.
-    batch: Vec<ObservedLines>,
     /// Scratch address buffer for one victim round's table reads, replayed
     /// into the cache as a batch (see [`VictimOracle::run_rounds_observed`]).
     round_addrs: Vec<u64>,
@@ -342,20 +491,30 @@ impl VictimOracle {
             Some(seed) => Cache::new_seeded(config.cache, seed),
             None => Cache::new(config.cache),
         };
-        let prime_groups = Self::build_prime_groups(&config);
         let probe_addrs = config.probe_line_addrs();
+        let empty_lines = ObservedLines::for_config(&config);
+        let index_bits = core::array::from_fn(|index| {
+            empty_lines
+                .bit_of(config.line_addr_of_index(index as u8))
+                .expect("every S-box entry lies on a monitored line")
+        });
+        let prime_addrs = match config.strategy {
+            ProbeStrategy::FlushReload => Vec::new(),
+            ProbeStrategy::PrimeProbe => Self::build_prime_addrs(&config, &probe_addrs),
+        };
         Self {
             cipher,
             cache,
             config,
             encryptions: 0,
             probe_addrs,
-            prime_groups,
+            empty_lines,
+            index_bits,
+            prime_addrs,
             telemetry: grinch_telemetry::Telemetry::disabled(),
             metrics: None,
             stage_metrics: Vec::new(),
             noise: None,
-            batch: Vec::new(),
             round_addrs: Vec::new(),
         }
     }
@@ -399,20 +558,18 @@ impl VictimOracle {
     }
 
     /// Attacker addresses that map to the same cache sets as the S-box
-    /// lines, `ways` of them per set, placed far above the victim's tables.
-    fn build_prime_groups(config: &ObservationConfig) -> Vec<(u64, Vec<u64>)> {
+    /// lines, `ways` of them per line, placed far above the victim's
+    /// tables.
+    fn build_prime_addrs(config: &ObservationConfig, probe_addrs: &[u64]) -> Vec<u64> {
         let cache = &config.cache;
         let stride = (cache.line_bytes * cache.num_sets) as u64;
         let attacker_base = 0x10_0000u64;
-        config
-            .probe_line_addrs()
-            .into_iter()
-            .map(|line_addr| {
+        probe_addrs
+            .iter()
+            .flat_map(|&line_addr| {
                 let set = cache.set_of(line_addr) as u64;
-                let addrs = (0..cache.ways as u64)
-                    .map(|w| attacker_base + w * stride + set * cache.line_bytes as u64)
-                    .collect();
-                (line_addr, addrs)
+                (0..cache.ways as u64)
+                    .map(move |w| attacker_base + w * stride + set * cache.line_bytes as u64)
             })
             .collect()
     }
@@ -430,13 +587,11 @@ impl VictimOracle {
         // Field-disjoint borrows: the groups are read-only while the cache
         // mutates, so no per-call clone of the group table is needed.
         let Self {
-            cache,
-            prime_groups,
-            ..
+            cache, prime_addrs, ..
         } = self;
-        for (_, addrs) in prime_groups.iter() {
+        for group in prime_addrs.chunks_exact(cache.config().ways) {
             // One batched fill (and one telemetry publish) per monitored set.
-            cache.access_batch_from(addrs, Domain::Attacker, |_, _| {});
+            cache.access_batch_from(group, Domain::Attacker, |_, _| {});
         }
     }
 
@@ -479,16 +634,15 @@ impl VictimOracle {
         out
     }
 
-    /// [`VictimOracle::observe_stage`] writing into a caller-provided set
-    /// (cleared first) — the allocation-free core both the single and the
-    /// batched paths share.
+    /// [`VictimOracle::observe_stage`] writing into a caller-provided set,
+    /// which is overwritten with an observation over this oracle's lines.
     pub fn observe_stage_into(
         &mut self,
         plaintext: u64,
         stage_round: usize,
         out: &mut ObservedLines,
     ) {
-        out.clear();
+        *out = self.empty_lines;
         self.encryptions += 1;
         let rounds = (stage_round + self.config.probing_round).min(GIFT64_ROUNDS);
         if let Some(m) = self.metrics {
@@ -498,28 +652,25 @@ impl VictimOracle {
         let flush_before = self.config.flush_after_round1.then_some(stage_round);
         match self.config.strategy {
             ProbeStrategy::FlushReload => {
-                // Flush phase: evict the monitored lines in one batched
-                // sweep (single telemetry publish). All probe-side
-                // operations run in the attacker domain: a way partition
-                // blocks both the flush and the reload-hit, blinding the
-                // mechanic entirely.
-                {
-                    let Self {
-                        cache, probe_addrs, ..
-                    } = self;
-                    cache.flush_lines_from(probe_addrs, Domain::Attacker);
-                }
+                // No flush phase: the monitored lines are already out of
+                // the attacker's ways. A fresh cache holds nothing, every
+                // observation ends with the reload-and-flush below, and
+                // nothing else touches this cache (`known_pair` runs
+                // unobserved). All probe-side operations run in the
+                // attacker domain: a way partition blocks the reload-hit,
+                // blinding the mechanic entirely.
                 self.run_rounds_observed(plaintext, rounds, flush_before, false);
                 // Reload phase: a hit means the victim brought the line in;
                 // each line is flushed again right after its reload so the
-                // next observation starts cold — one batched cycle.
+                // next observation starts cold — one batched cycle. Bit
+                // `i` is `probe_addrs[i]`.
                 let Self {
                     cache, probe_addrs, ..
                 } = self;
-                cache.reload_and_flush_from(probe_addrs, Domain::Attacker, |a, hit| {
-                    if hit {
-                        out.insert(a);
-                    }
+                let mut bit = 0u32;
+                cache.reload_and_flush_from(probe_addrs, Domain::Attacker, |_, hit| {
+                    out.bits |= u64::from(hit) << bit;
+                    bit += 1;
                 });
             }
             ProbeStrategy::PrimeProbe => {
@@ -529,20 +680,15 @@ impl VictimOracle {
                 // Probe phase: re-read the attacker lines; any miss means
                 // the victim displaced one — its set was touched.
                 let Self {
-                    cache,
-                    prime_groups,
-                    ..
+                    cache, prime_addrs, ..
                 } = self;
-                for (line_addr, addrs) in prime_groups.iter() {
+                let ways = cache.config().ways;
+                for (bit, group) in prime_addrs.chunks_exact(ways).enumerate() {
                     let mut evicted = false;
-                    cache.access_batch_from(addrs, Domain::Attacker, |_, o| {
-                        if o.is_miss() {
-                            evicted = true;
-                        }
+                    cache.access_batch_from(group, Domain::Attacker, |_, o| {
+                        evicted |= o.is_miss();
                     });
-                    if evicted {
-                        out.insert(*line_addr);
-                    }
+                    out.bits |= u64::from(evicted) << bit;
                 }
                 // Clean up: leave the monitored sets empty of victim lines
                 // for the next round of priming. An attacker-domain flush:
@@ -553,7 +699,7 @@ impl VictimOracle {
             }
         }
         if let Some(channel) = self.noise.as_mut() {
-            *out = channel.apply(std::mem::take(out));
+            *out = channel.apply(*out);
         }
         if let Some(m) = self.metrics {
             let probes = self.probe_addrs.len() as u64;
@@ -569,37 +715,11 @@ impl VictimOracle {
                 b.add(stage.probes, probes);
                 b.add(stage.probe_hits, out.len() as u64);
                 b.inc(stage.encryptions);
-                for &addr in out.iter() {
-                    if let Some(idx) = self.config.line_index_of_addr(addr) {
-                        b.inc(stage.line_hits[idx]);
-                    }
+                for idx in out.line_indices() {
+                    b.inc(stage.line_hits[idx]);
                 }
             }
         }
-    }
-
-    /// Observes one chosen plaintext per entry of `plaintexts` for a
-    /// stage-`stage_round` campaign and returns the observations in order.
-    ///
-    /// Equivalent to calling [`VictimOracle::observe_stage`] in a loop, but
-    /// the returned slice borrows an internal scratch buffer that is reused
-    /// across batches (grown once, never shrunk) and the per-stage metric
-    /// handles resolve exactly once — the bulk path for Monte-Carlo sweeps
-    /// that replay fixed plaintext schedules.
-    pub fn encrypt_and_probe_batch(
-        &mut self,
-        plaintexts: &[u64],
-        stage_round: usize,
-    ) -> &[ObservedLines] {
-        if self.batch.len() < plaintexts.len() {
-            self.batch.resize_with(plaintexts.len(), ObservedLines::new);
-        }
-        for (i, &pt) in plaintexts.iter().enumerate() {
-            let mut out = std::mem::take(&mut self.batch[i]);
-            self.observe_stage_into(pt, stage_round, &mut out);
-            self.batch[i] = out;
-        }
-        &self.batch[..plaintexts.len()]
     }
 
     /// Runs the victim's first `rounds` rounds against the cache; before
@@ -660,8 +780,14 @@ impl VictimOracle {
         v_bit: bool,
         u_bit: bool,
     ) -> bool {
-        let idx = spec.expected_index(v_bit, u_bit);
-        observed.contains(&self.config.line_addr_of_index(idx))
+        debug_assert!(
+            observed.is_empty()
+                || (observed.base, observed.shift)
+                    == (self.empty_lines.base, self.empty_lines.shift),
+            "observation over another oracle's lines"
+        );
+        let bit = self.index_bits[usize::from(spec.expected_index(v_bit, u_bit))];
+        observed.bits & (1 << bit) != 0
     }
 }
 
@@ -684,13 +810,14 @@ mod tests {
         // input.
         let reference = Gift64::new(key());
         let round2_input = reference.encrypt_rounds(pt, 1);
-        let expected: ObservedLines = (0..16)
-            .map(|s| {
+        let mut expected = ObservedLines::for_config(oracle.config());
+        for s in 0..16 {
+            expected.insert(
                 oracle
                     .config()
-                    .line_addr_of_index(segment_64(round2_input, s))
-            })
-            .collect();
+                    .line_addr_of_index(segment_64(round2_input, s)),
+            );
+        }
         assert_eq!(observed, expected);
         assert_eq!(oracle.encryptions(), 1);
     }
@@ -704,7 +831,7 @@ mod tests {
         let reference = Gift64::new(key());
         let r1 = pt;
         let r2 = reference.encrypt_rounds(pt, 1);
-        let mut expected = ObservedLines::new();
+        let mut expected = ObservedLines::for_config(oracle.config());
         for s in 0..16 {
             expected.insert(oracle.config().line_addr_of_index(segment_64(r1, s)));
             expected.insert(oracle.config().line_addr_of_index(segment_64(r2, s)));
@@ -718,7 +845,7 @@ mod tests {
         let shallow = VictimOracle::new(key(), ObservationConfig::ideal()).observe(pt);
         let deep =
             VictimOracle::new(key(), ObservationConfig::ideal().with_probing_round(6)).observe(pt);
-        assert!(deep.is_superset(&shallow));
+        assert!(shallow.iter().all(|line| deep.contains(&line)));
         assert!(deep.len() >= shallow.len());
     }
 
@@ -805,7 +932,10 @@ mod tests {
                 strategy,
                 ..ObservationConfig::ideal()
             };
-            let all_lines: ObservedLines = cfg.probe_line_addrs().into_iter().collect();
+            let mut all_lines = ObservedLines::for_config(&cfg);
+            for line in cfg.probe_line_addrs() {
+                all_lines.insert(line);
+            }
             let mut oracle = VictimOracle::new(key(), cfg);
             for pt in [0u64, 0x0123_4567_89ab_cdef, u64::MAX] {
                 let observed = oracle.observe(pt);
@@ -866,6 +996,65 @@ mod tests {
     }
 
     #[test]
+    fn flush_reload_leaves_no_monitored_line_in_attacker_ways() {
+        // Why an observation needs no flush phase of its own: after every
+        // Flush+Reload observation (and every known pair), flushing the
+        // monitored lines from the attacker domain finds nothing — under
+        // every arena defense, for every victim variant, with and without
+        // the mid-encryption flush, across stage rounds.
+        let base = CacheConfig::grinch_default();
+        let remap = |epoch_accesses| {
+            base.with_mapping(cache_sim::IndexMapping::KeyedRemap {
+                key: 0x5eed,
+                epoch_accesses,
+            })
+        };
+        let defenses = [
+            ("baseline", base),
+            ("static-remap", remap(0)),
+            ("rekey-64", remap(64)),
+            (
+                "partition",
+                base.with_partition(cache_sim::WayPartition::even_split(base.ways)),
+            ),
+        ];
+        let variants = [
+            VictimVariant::Table,
+            VictimVariant::WideLine,
+            VictimVariant::MaskedSchedule,
+            VictimVariant::FullScan,
+            VictimVariant::Preload,
+        ];
+        for (defense, cache) in defenses {
+            for variant in variants {
+                for flush in [true, false] {
+                    let cfg = ObservationConfig {
+                        cache,
+                        variant,
+                        flush_after_round1: flush,
+                        ..ObservationConfig::ideal()
+                    };
+                    let mut oracle = VictimOracle::new(key(), cfg);
+                    let mut observed = ObservedLines::new();
+                    for i in 0..24u64 {
+                        let pt = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        oracle.observe_stage_into(pt, 1 + (i % 3) as usize, &mut observed);
+                        if i % 5 == 0 {
+                            oracle.known_pair(pt);
+                        }
+                        let mut cache = oracle.cache.clone();
+                        assert_eq!(
+                            cache.flush_lines_from(&oracle.probe_addrs, Domain::Attacker),
+                            0,
+                            "{defense} {variant:?} flush={flush} observation {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn installed_noise_channel_filters_observations() {
         let pt = 0x0123_4567_89ab_cdef;
         let clean = VictimOracle::new(key(), ObservationConfig::ideal()).observe(pt);
@@ -874,48 +1063,6 @@ mod tests {
         assert!(noisy_oracle.observe(pt).is_empty(), "p=1 drops everything");
         noisy_oracle.set_noise(None);
         assert_eq!(noisy_oracle.observe(pt), clean, "removal restores clarity");
-    }
-
-    #[test]
-    fn batch_path_matches_looped_observe_and_telemetry() {
-        let pts = [0u64, 42, 0x0123_4567_89ab_cdef, u64::MAX, 42];
-        for strategy in [ProbeStrategy::FlushReload, ProbeStrategy::PrimeProbe] {
-            let cfg = ObservationConfig {
-                strategy,
-                ..ObservationConfig::ideal()
-            };
-            let loop_tel = grinch_telemetry::Telemetry::new();
-            let mut loop_oracle = VictimOracle::new(key(), cfg.clone());
-            loop_oracle.set_telemetry(loop_tel.clone());
-            let looped: Vec<ObservedLines> = pts
-                .iter()
-                .map(|&pt| loop_oracle.observe_stage(pt, 2))
-                .collect();
-
-            let batch_tel = grinch_telemetry::Telemetry::new();
-            let mut batch_oracle = VictimOracle::new(key(), cfg);
-            batch_oracle.set_telemetry(batch_tel.clone());
-            let batched = batch_oracle.encrypt_and_probe_batch(&pts, 2);
-
-            assert_eq!(batched, looped.as_slice());
-            assert_eq!(batch_oracle.encryptions(), loop_oracle.encryptions());
-            assert_eq!(
-                batch_tel.to_jsonl(),
-                loop_tel.to_jsonl(),
-                "batched and looped paths must publish identical telemetry"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_scratch_is_reused_across_calls() {
-        let mut oracle = VictimOracle::new(key(), ObservationConfig::ideal());
-        let first = oracle.encrypt_and_probe_batch(&[1, 2, 3], 1).to_vec();
-        // A smaller follow-up batch only exposes its own observations.
-        let second = oracle.encrypt_and_probe_batch(&[1], 1);
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0], first[0]);
-        assert_eq!(oracle.encryptions(), 4);
     }
 
     #[test]

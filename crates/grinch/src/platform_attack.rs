@@ -69,8 +69,7 @@ pub fn recover_round1_on_mpsoc(
     seed: u64,
 ) -> PlatformStageOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut candidates: [CandidateSet; GIFT64_SEGMENTS] =
-        core::array::from_fn(|_| CandidateSet::full());
+    let mut candidates = [CandidateSet::full(); GIFT64_SEGMENTS];
     let mut encryptions = 0u64;
     let layout = config.layout;
     let line_bytes = config.cache.line_bytes as u64;
@@ -110,23 +109,10 @@ pub fn recover_round1_on_mpsoc(
                     let mut progressed = 0usize;
                     for spec in &specs {
                         let set = &mut candidates[spec.segment];
-                        let before = set.len();
-                        let survivors: Vec<(bool, bool)> = set
-                            .survivors()
-                            .iter()
-                            .copied()
-                            .filter(|&(v, u)| {
-                                let idx = spec.expected_index(v, u);
-                                let addr = layout.sbox_entry_addr(idx);
-                                observed.contains(&(addr / line_bytes * line_bytes))
-                            })
-                            .collect();
-                        for hyp in [(false, false), (true, false), (false, true), (true, true)] {
-                            if !survivors.contains(&hyp) {
-                                set.remove(hyp);
-                            }
-                        }
-                        progressed += before - set.len();
+                        progressed += set.retain(|v, u| {
+                            let addr = layout.sbox_entry_addr(spec.expected_index(v, u));
+                            observed.contains(&(addr / line_bytes * line_bytes))
+                        });
                         if set.is_empty() {
                             break 'batches;
                         }

@@ -196,18 +196,16 @@ pub fn run_stage<R: Rng + ?Sized>(
             )),
         )
     });
-    let mut candidates: [CandidateSet; GIFT64_SEGMENTS] =
-        core::array::from_fn(|_| CandidateSet::full());
+    let mut candidates = [CandidateSet::full(); GIFT64_SEGMENTS];
     let mut capped = false;
     if let Some((gauge, _)) = entropy_gauge {
         telemetry.set(gauge, entropy_bits(&candidates));
     }
-    // Scratch reused across every observation of the stage: the spec list,
-    // the observed-line set and the resolved line indices are rewritten in
-    // place instead of reallocated per encryption.
+    // Scratch reused across every observation of the stage: the spec list
+    // and the observed-line set are rewritten in place instead of
+    // reallocated per encryption.
     let mut specs: Vec<TargetSpec> = Vec::with_capacity(4);
     let mut observed = ObservedLines::new();
-    let mut observed_line_indices: Vec<usize> = Vec::new();
 
     'batches: for batch in disjoint_batches(stage_round) {
         let mut stall_limit = config.stall_limit.max(1);
@@ -249,15 +247,9 @@ pub fn run_stage<R: Rng + ?Sized>(
                         // the forced pattern determines the signal line, so
                         // the profiler's I(pattern; line) comes out high;
                         // pattern-independent footprints (preload, wide
-                        // lines) drive it towards zero. Line indices resolve
-                        // once per observation and the whole feed publishes
-                        // under a single registry lock.
-                        observed_line_indices.clear();
-                        observed_line_indices.extend(
-                            observed
-                                .iter()
-                                .filter_map(|&addr| oracle.config().line_index_of_addr(addr)),
-                        );
+                        // lines) drive it towards zero. The observation's
+                        // bits are the line indices, and the whole feed
+                        // publishes under a single registry lock.
                         if let Some(mut b) = telemetry.batch() {
                             for spec in &specs {
                                 let p = spec
@@ -265,7 +257,7 @@ pub fn run_stage<R: Rng + ?Sized>(
                                     .iter()
                                     .enumerate()
                                     .fold(0usize, |acc, (b, &v)| acc | (usize::from(v) << b));
-                                for &l in &observed_line_indices {
+                                for l in observed.line_indices() {
                                     b.inc(joint[p][l]);
                                 }
                             }

@@ -78,6 +78,7 @@ fn oracle_observation_window_matches_round_input_ground_truth() {
                     expected.insert(oracle.config().line_addr_of_index(segment_64(input, s)));
                 }
             }
+            let observed: std::collections::BTreeSet<u64> = observed.iter().collect();
             assert_eq!(observed, expected, "k={k} flush={flush}");
         }
     }
@@ -129,6 +130,7 @@ fn stage_observation_window_slides_with_the_attacked_round() {
                     .line_addr_of_index(segment_64(signal_round_input, s))
             })
             .collect();
+        let observed: std::collections::BTreeSet<u64> = observed.iter().collect();
         assert_eq!(observed, expected, "stage {stage}");
     }
 }
