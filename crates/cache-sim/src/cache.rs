@@ -214,12 +214,6 @@ pub struct Cache {
     /// `Some` iff `telemetry` is enabled, so the hot path pays one
     /// `Option` check when telemetry is off.
     metrics: Option<MetricHandles>,
-    /// One bit per set, set whenever a line is filled there — a
-    /// conservative "may hold valid lines" mask so whole-cache
-    /// invalidation (frequent under epoch re-keying) only walks occupied
-    /// sets instead of the full slab. Never observable state: bits are
-    /// only cleared when the sets they cover are actually emptied.
-    occupied: Vec<u64>,
 }
 
 impl Cache {
@@ -277,7 +271,6 @@ impl Cache {
             stats: CacheStats::default(),
             telemetry: Telemetry::disabled(),
             metrics: None,
-            occupied: vec![0; config.num_sets.div_ceil(64)],
         }
     }
 
@@ -321,29 +314,19 @@ impl Cache {
     }
 
     /// Empties the ways `lo..lo + width` and resets rings `rings` of every
-    /// occupied set; clears the occupancy mask when the whole set goes.
+    /// set; emptying whole sets is one fill of each slab.
     fn clear_ranges(&mut self, lo: usize, width: usize, rings: core::ops::Range<usize>) {
         let (ways, per_set) = (self.config.ways, self.rings_per_set);
-        let whole = width == ways;
-        let Self {
-            lines,
-            rings: all_rings,
-            occupied,
-            ..
-        } = self;
-        for (word_idx, word) in occupied.iter_mut().enumerate() {
-            let mut w = *word;
-            while w != 0 {
-                let set = (word_idx << 6) | w.trailing_zeros() as usize;
-                let base = set * ways + lo;
-                lines[base..base + width].fill(INVALID_LINE);
-                all_rings[set * per_set + rings.start..set * per_set + rings.end]
-                    .fill(Ring::default());
-                w &= w - 1;
-            }
-            if whole {
-                *word = 0;
-            }
+        if width == ways && rings == (0..per_set) {
+            self.lines.fill(INVALID_LINE);
+            self.rings.fill(Ring::default());
+            return;
+        }
+        for set in 0..self.config.num_sets {
+            let base = set * ways + lo;
+            self.lines[base..base + width].fill(INVALID_LINE);
+            self.rings[set * per_set + rings.start..set * per_set + rings.end]
+                .fill(Ring::default());
         }
     }
 
@@ -414,9 +397,6 @@ impl Cache {
                 }
             }
         };
-        if !hit {
-            self.occupied[set_idx >> 6] |= 1 << (set_idx & 63);
-        }
         (self.count_access(hit, evicted_line), remapped)
     }
 

@@ -440,3 +440,65 @@ fn reload_into_a_full_range_evicts_the_next_victim() {
         }
     }
 }
+
+/// The lines of `domain`'s way range in the set `fresh` maps to, oldest
+/// first: a copy of the cache reads `fresh` (lines of that set it does not
+/// hold) from `domain` and reports what each fill evicts.
+fn eviction_order(cache: &Cache, fresh: &[u64], domain: Domain) -> Vec<u64> {
+    let mut copy = cache.clone();
+    let mut order = Vec::new();
+    copy.access_batch_from(fresh, domain, |_, o| order.extend(o.evicted_line));
+    order
+}
+
+#[test]
+fn lru_probe_leaves_the_state_flush_then_prime_leaves() {
+    // Why Prime+Probe needs no flush: after 0, 1 or 2 victim accesses into
+    // a monitored set, re-reading the 16 prime lines under LRU leaves the
+    // same residents, in the same replacement order, as flushing the
+    // attacker's ways and priming again. Unpartitioned, the probe evicts
+    // the victim's lines as the flush did; under the even split the 8
+    // attacker ways end with the last 8 prime lines either way and the
+    // victim ways are untouched by both.
+    for partition in [None, Some(WayPartition::even_split(16))] {
+        let mut cfg = CacheConfig::grinch_default();
+        cfg.partition = partition;
+        assert_eq!(cfg.replacement, ReplacementPolicy::Lru);
+        let stride = (cfg.line_bytes * cfg.num_sets) as u64;
+        let set = 5 * cfg.line_bytes as u64;
+        let prime: Vec<u64> = (0..16).map(|w| 0x10_0000 + set + w * stride).collect();
+        let fresh: Vec<u64> = (16..32).map(|w| 0x10_0000 + set + w * stride).collect();
+        let victim = [set, set + stride];
+        for touched in 0..=2 {
+            let mut start = Cache::new(cfg);
+            start.access_batch_from(&prime, Domain::Attacker, |_, _| {});
+            for &v in &victim[..touched] {
+                start.access_from(v, Domain::Victim);
+            }
+            let mut probed = start.clone();
+            let mut misses = 0;
+            probed.access_batch_from(&prime, Domain::Attacker, |_, o| {
+                misses += usize::from(o.is_miss())
+            });
+            let mut reprimed = start;
+            reprimed.flush_all_from(Domain::Attacker);
+            reprimed.access_batch_from(&prime, Domain::Attacker, |_, _| {});
+            let label = format!("{partition:?}, {touched} victim accesses");
+            if partition.is_none() {
+                assert_eq!(misses > 0, touched > 0, "{label}: probe outcome");
+            }
+            let mut got = probed.resident_line_addrs();
+            let mut want = reprimed.resident_line_addrs();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "{label}: residents");
+            for domain in [Domain::Attacker, Domain::Victim] {
+                assert_eq!(
+                    eviction_order(&probed, &fresh, domain),
+                    eviction_order(&reprimed, &fresh, domain),
+                    "{label}: {domain:?} replacement order"
+                );
+            }
+        }
+    }
+}

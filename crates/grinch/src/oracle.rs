@@ -11,7 +11,8 @@
 //!   encryption, then reloads each line and classifies hit/miss by timing;
 //! * **Prime+Probe** — the attacker fills the cache sets the S-box maps to
 //!   with its own lines, then re-reads them and infers victim activity from
-//!   its own misses.
+//!   its own misses. It never flushes: each probe leaves the sets primed
+//!   for the next observation.
 //!
 //! The probing *moment* follows the paper's Fig. 3 convention: "cache
 //! probing round k" means the probe observes the accesses of rounds
@@ -374,6 +375,10 @@ pub struct VictimOracle {
     /// in `probe_addrs` order, each group mapping to that line's set.
     /// Empty for Flush+Reload.
     prime_addrs: Vec<u64>,
+    /// Whether the monitored sets have been primed. Prime+Probe primes
+    /// once, on its first observation; every probe then leaves the sets
+    /// primed for the next one.
+    primed: bool,
     telemetry: grinch_telemetry::Telemetry,
     /// `Some` iff telemetry is enabled: the campaign-total counters.
     metrics: Option<AttackMetricHandles>,
@@ -511,6 +516,7 @@ impl VictimOracle {
             empty_lines,
             index_bits,
             prime_addrs,
+            primed: false,
             telemetry: grinch_telemetry::Telemetry::disabled(),
             metrics: None,
             stage_metrics: Vec::new(),
@@ -583,6 +589,11 @@ impl VictimOracle {
         state
     }
 
+    /// Reads every monitored set's `ways` attacker lines, in
+    /// `prime_addrs` order. A probe reads the same lines in the same
+    /// order, so under LRU it leaves every prime line as resident as a
+    /// prime does, whatever the victim did (DESIGN.md §10): no flush
+    /// precedes a prime.
     fn prime(&mut self) {
         // Field-disjoint borrows: the groups are read-only while the cache
         // mutates, so no per-call clone of the group table is needed.
@@ -625,9 +636,9 @@ impl VictimOracle {
     /// fires while the victim executes round `stage_round +
     /// probing_round`; the optional flush happens right after round
     /// `stage_round` (for stage 1 that is the paper's flush after round 1),
-    /// removing the accesses of the already-known earlier rounds. For
-    /// Prime+Probe the flush is a flush-plus-re-prime, the mechanic an
-    /// attacker without a flush instruction uses.
+    /// removing the accesses of the already-known earlier rounds. A
+    /// Prime+Probe attacker has no flush instruction: its "flush" is a
+    /// re-prime, which evicts the victim's lines from the monitored sets.
     pub fn observe_stage(&mut self, plaintext: u64, stage_round: usize) -> ObservedLines {
         let mut out = ObservedLines::new();
         self.observe_stage_into(plaintext, stage_round, &mut out);
@@ -659,7 +670,7 @@ impl VictimOracle {
                 // unobserved). All probe-side operations run in the
                 // attacker domain: a way partition blocks the reload-hit,
                 // blinding the mechanic entirely.
-                self.run_rounds_observed(plaintext, rounds, flush_before, false);
+                self.run_rounds_observed(plaintext, rounds, flush_before);
                 // Reload phase: a hit means the victim brought the line in;
                 // each line is flushed again right after its reload so the
                 // next observation starts cold — one batched cycle. Bit
@@ -674,11 +685,18 @@ impl VictimOracle {
                 });
             }
             ProbeStrategy::PrimeProbe => {
-                // Prime phase: fill each monitored set with attacker lines.
-                self.prime();
-                self.run_rounds_observed(plaintext, rounds, flush_before, true);
+                // Prime phase, once: fill each monitored set with attacker
+                // lines. Later observations start from the previous probe,
+                // which leaves every set primed (see `prime`).
+                if !self.primed {
+                    self.prime();
+                    self.primed = true;
+                }
+                self.run_rounds_observed(plaintext, rounds, flush_before);
                 // Probe phase: re-read the attacker lines; any miss means
-                // the victim displaced one — its set was touched.
+                // the victim displaced one — its set was touched. No
+                // clean-up follows: under LRU the probe leaves exactly its
+                // own lines in each set, in probe order, as a prime would.
                 let Self {
                     cache, prime_addrs, ..
                 } = self;
@@ -690,12 +708,6 @@ impl VictimOracle {
                     });
                     out.bits |= u64::from(evicted) << bit;
                 }
-                // Clean up: leave the monitored sets empty of victim lines
-                // for the next round of priming. An attacker-domain flush:
-                // on a partitioned cache only its own ways clear, which is
-                // all the mechanic needs (victim lines never evict primes
-                // there anyway).
-                self.cache.flush_all_from(Domain::Attacker);
             }
         }
         if let Some(channel) = self.noise.as_mut() {
@@ -724,25 +736,27 @@ impl VictimOracle {
 
     /// Runs the victim's first `rounds` rounds against the cache; before
     /// executing round index `flush_before` (0-based) the attacker's
-    /// mid-encryption cleanup runs — a cache flush, plus a re-prime when
-    /// the mechanic is Prime+Probe.
+    /// mid-encryption cleanup runs: a cache flush for Flush+Reload, a
+    /// re-prime (and no flush) for Prime+Probe.
     fn run_rounds_observed(
         &mut self,
         plaintext: u64,
         rounds: usize,
         flush_before: Option<usize>,
-        reprime: bool,
     ) -> u64 {
         let mut state = plaintext;
         let mut round_addrs = std::mem::take(&mut self.round_addrs);
         for round in 0..rounds {
             if flush_before == Some(round) {
-                // The mid-encryption flush is the *attacker's* cleanup: on a
-                // way-partitioned cache it cannot reach victim ways, so
-                // "Grinch with Flush" loses its lever there too.
-                self.cache.flush_all_from(Domain::Attacker);
-                if reprime {
-                    self.prime();
+                match self.config.strategy {
+                    // The mid-encryption flush is the *attacker's* cleanup:
+                    // on a way-partitioned cache it cannot reach victim
+                    // ways, so "Grinch with Flush" loses its lever there too.
+                    ProbeStrategy::FlushReload => self.cache.flush_all_from(Domain::Attacker),
+                    // Re-priming evicts the victim's earlier-round lines
+                    // from every monitored set, which is all the flush
+                    // bought Prime+Probe.
+                    ProbeStrategy::PrimeProbe => self.prime(),
                 }
             }
             round_addrs.clear();
@@ -1002,22 +1016,6 @@ mod tests {
         // monitored lines from the attacker domain finds nothing — under
         // every arena defense, for every victim variant, with and without
         // the mid-encryption flush, across stage rounds.
-        let base = CacheConfig::grinch_default();
-        let remap = |epoch_accesses| {
-            base.with_mapping(cache_sim::IndexMapping::KeyedRemap {
-                key: 0x5eed,
-                epoch_accesses,
-            })
-        };
-        let defenses = [
-            ("baseline", base),
-            ("static-remap", remap(0)),
-            ("rekey-64", remap(64)),
-            (
-                "partition",
-                base.with_partition(cache_sim::WayPartition::even_split(base.ways)),
-            ),
-        ];
         let variants = [
             VictimVariant::Table,
             VictimVariant::WideLine,
@@ -1025,7 +1023,7 @@ mod tests {
             VictimVariant::FullScan,
             VictimVariant::Preload,
         ];
-        for (defense, cache) in defenses {
+        for (defense, cache) in arena_defenses() {
             for variant in variants {
                 for flush in [true, false] {
                     let cfg = ObservationConfig {
@@ -1050,6 +1048,139 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The four arena defenses over the default geometry.
+    fn arena_defenses() -> [(&'static str, CacheConfig); 4] {
+        let base = CacheConfig::grinch_default();
+        let remap = |epoch_accesses| {
+            base.with_mapping(cache_sim::IndexMapping::KeyedRemap {
+                key: 0x5eed,
+                epoch_accesses,
+            })
+        };
+        [
+            ("baseline", base),
+            ("static-remap", remap(0)),
+            ("rekey-64", remap(64)),
+            (
+                "partition",
+                base.with_partition(cache_sim::WayPartition::even_split(base.ways)),
+            ),
+        ]
+    }
+
+    /// Prime+Probe with a flush, the reference the flush-free oracle must
+    /// match: prime, run the victim (flush and re-prime at the stage
+    /// boundary), probe, then flush the attacker's ways.
+    fn observe_flush_then_prime(
+        oracle: &mut VictimOracle,
+        plaintext: u64,
+        stage_round: usize,
+    ) -> ObservedLines {
+        let mut out = oracle.empty_lines;
+        let rounds = (stage_round + oracle.config.probing_round).min(GIFT64_ROUNDS);
+        oracle.prime();
+        let mut state = plaintext;
+        let mut addrs = Vec::new();
+        for round in 0..rounds {
+            if oracle.config.flush_after_round1 && round == stage_round {
+                oracle.cache.flush_all_from(Domain::Attacker);
+                oracle.prime();
+            }
+            addrs.clear();
+            let mut obs = RoundAddrRecorder { addrs: &mut addrs };
+            state = run_one_round(&oracle.cipher, state, round, &mut obs);
+            oracle
+                .cache
+                .access_batch_from(&addrs, Domain::Victim, |_, _| {});
+        }
+        let VictimOracle {
+            cache, prime_addrs, ..
+        } = oracle;
+        let ways = cache.config().ways;
+        for (bit, group) in prime_addrs.chunks_exact(ways).enumerate() {
+            let mut evicted = false;
+            cache.access_batch_from(group, Domain::Attacker, |_, o| evicted |= o.is_miss());
+            out.bits |= u64::from(evicted) << bit;
+        }
+        oracle.cache.flush_all_from(Domain::Attacker);
+        out
+    }
+
+    /// Runs 3,000 Prime+Probe observations (1,000 plaintexts per stage,
+    /// stages 1–3 interleaved) through a flush-free oracle with telemetry
+    /// attached and through the flush-then-prime reference, handing each
+    /// pair to `check`. Returns the flush-free oracle's telemetry.
+    fn prime_probe_streams(
+        cache: CacheConfig,
+        flush: bool,
+        mut check: impl FnMut(usize, ObservedLines, ObservedLines),
+    ) -> grinch_telemetry::Telemetry {
+        let cfg = ObservationConfig {
+            cache,
+            strategy: ProbeStrategy::PrimeProbe,
+            flush_after_round1: flush,
+            ..ObservationConfig::ideal()
+        };
+        let tel = grinch_telemetry::Telemetry::new();
+        let mut oracle = VictimOracle::new(key(), cfg.clone());
+        oracle.set_telemetry(tel.clone());
+        let mut reference = VictimOracle::new(key(), cfg);
+        let mut observed = ObservedLines::new();
+        for i in 0..3_000u64 {
+            let pt = cache_sim::splitmix64(i);
+            let stage = 1 + (i % 3) as usize;
+            oracle.observe_stage_into(pt, stage, &mut observed);
+            let expected = observe_flush_then_prime(&mut reference, pt, stage);
+            check(i as usize, observed, expected);
+        }
+        tel
+    }
+
+    #[test]
+    fn flush_free_prime_probe_matches_flush_then_prime() {
+        // Under LRU a line's residency depends only on the accesses to its
+        // set range since its own last access. A probe re-reads every prime
+        // line in prime order, so between a line's last access and its next
+        // probe the same accesses happen with or without the flush, under
+        // any fixed mapping — and under rekeying both sides saturate (see
+        // `rekeying_and_partition_saturate_prime_probe`).
+        for (defense, cache) in arena_defenses() {
+            for flush in [true, false] {
+                let tel = prime_probe_streams(cache, flush, |i, got, want| {
+                    assert_eq!(got, want, "{defense} flush={flush} observation {i}");
+                });
+                assert_eq!(tel.counter("cache.l1.flushes"), 0, "{defense} {flush}");
+                assert_eq!(tel.counter("cache.l1.full_flushes"), 0, "{defense} {flush}");
+                assert!(tel.counter("cache.l1.misses") > 0, "priming was counted");
+            }
+        }
+    }
+
+    #[test]
+    fn rekeying_and_partition_saturate_prime_probe() {
+        // Rekey-64: between a prime line's last access and its probe come
+        // the 255 other prime lines' accesses (the rest of the prime or the
+        // previous probe, then the probe up to this line) plus the
+        // victim's, more than one 64-access epoch. A rekey, which orphans
+        // every line, always fires in between, so every probe misses.
+        // Partition: 16 prime lines cycle through 8 attacker ways, so LRU
+        // evicts each before it is re-read. Both sequences report all 16
+        // lines on every observation: the channel is saturated, never
+        // lying.
+        for (defense, cache) in arena_defenses() {
+            if !matches!(defense, "rekey-64" | "partition") {
+                continue;
+            }
+            assert_eq!(ObservationConfig::ideal().probe_line_addrs().len(), 16);
+            for flush in [true, false] {
+                prime_probe_streams(cache, flush, |i, got, want| {
+                    assert_eq!(got.len(), 16, "{defense} flush={flush} observation {i}");
+                    assert_eq!(want.len(), 16, "{defense} flush={flush} reference {i}");
+                });
             }
         }
     }
