@@ -14,6 +14,7 @@ use cache_sim::{CacheConfig, IndexMapping, WayPartition};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gift_cipher::Key;
 use grinch::oracle::{ObservationConfig, ProbeStrategy, VictimOracle};
+use grinch::stage::StageVictim;
 
 const BATCH: usize = 64;
 

@@ -280,11 +280,11 @@ mod tests {
         config.stage = config.stage.with_max_encryptions(20_000);
         let rks = expand_64(secret, 4);
         let mut wrong = [rks[0], rks[1], rks[2], rks[3]];
-        wrong[0].v ^= 0x0040; // flip one recovered stage-1 bit
-                              // The fifth stage crafts through the correct rounds 1..4? No — it
-                              // crafts with the WRONG round-1 key, so its predictions are offset
-                              // by a constant and either resolve to a key that mismatches the
-                              // rotation, or fail to resolve; both reject.
+        // Flip one recovered stage-1 bit. The fifth stage then crafts
+        // through a wrong round-1 key, so its predictions are offset by a
+        // constant: it either resolves to a key that mismatches the
+        // rotation or fails to resolve, and both reject.
+        wrong[0].v ^= 0x0040;
         assert_ne!(
             redundant_schedule_check(&mut oracle, &wrong, &config),
             Some(true)

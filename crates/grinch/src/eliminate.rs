@@ -9,6 +9,7 @@
 //! down but never mis-eliminates as the probing round and line size grow.
 
 use crate::oracle::{ObservedLines, VictimOracle};
+use crate::stage::StageVictim;
 use crate::target::TargetSpec;
 
 /// The four `(v_bit, u_bit)` hypotheses in survivor order. Hypothesis `h`
@@ -91,9 +92,9 @@ impl CandidateSet {
     }
 
     /// Keeps only the hypotheses `(v, u)` for which `keep(v, u)` returns
-    /// `true` (used by callers that evaluate consistency against their own
-    /// channel model, e.g. the multi-level hierarchy experiment). Returns
-    /// how many were eliminated.
+    /// `true` (the stage loop passes each victim's line test, see
+    /// [`crate::stage::StageVictim::hypothesis_consistent`]). Returns how
+    /// many were eliminated.
     pub fn retain(&mut self, mut keep: impl FnMut(bool, bool) -> bool) -> usize {
         let before = self.len();
         for &(v, u) in self.survivors() {

@@ -16,14 +16,16 @@
 //!    erases the true hypothesis and the stage fails — a hierarchy, not a
 //!    countermeasure, closing the channel.
 
-use crate::craft::craft_plaintext;
-use crate::eliminate::CandidateSet;
-use crate::target::{disjoint_batches, TargetSpec};
+use crate::oracle::{ObservationConfig, ObservedLines, VictimOracle};
+use crate::stage::{run_stage, StageConfig, StageVictim};
+use crate::target::TargetSpec;
 use cache_sim::multilevel::TwoLevelHierarchy;
+use gift_cipher::key_schedule::RoundKey64;
 use gift_cipher::observer::{Access, MemoryObserver};
-use gift_cipher::{Key, TableGift64, TableLayout, GIFT64_SEGMENTS};
+use gift_cipher::{Key, TableGift64};
+use grinch_telemetry::Telemetry;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Which hierarchy/flush capability a run models.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,22 +70,109 @@ impl MemoryObserver for VictimSideObserver<'_> {
     }
 }
 
-/// L2 probe line base addresses covering the S-box.
-fn l2_probe_addrs(layout: &TableLayout, l2_line: usize) -> Vec<u64> {
-    let lb = l2_line as u64;
-    let first = layout.sbox_base / lb;
-    let last = (layout.sbox_base + 15) / lb;
-    (first..=last).map(|l| l * lb).collect()
+/// The two-level hierarchy as a stage victim: the table cipher reads
+/// through its private L1 into the shared L2, and the attacker
+/// flushes and probes the L2's lines over the S-box, reaching the L1 only
+/// with a coherent flush.
+struct TwoLevelVictim {
+    cipher: TableGift64,
+    hierarchy: TwoLevelHierarchy,
+    /// The probe surface: the table layout under the L2's line size.
+    lines: ObservationConfig,
+    /// The L2 line base addresses covering the S-box.
+    probe_addrs: Vec<u64>,
+    /// The empty line set over `probe_addrs`.
+    empty_lines: ObservedLines,
+    /// Whether the attacker's flush reaches both levels.
+    coherent: bool,
+    telemetry: Telemetry,
+}
+
+impl TwoLevelVictim {
+    fn new(key: Key, coherent: bool, telemetry: Telemetry) -> Self {
+        let mut hierarchy = TwoLevelHierarchy::grinch_default();
+        hierarchy.set_telemetry(telemetry.clone());
+        let lines = ObservationConfig {
+            cache: *hierarchy.l2().config(),
+            ..ObservationConfig::ideal()
+        };
+        Self {
+            cipher: TableGift64::new(key, lines.layout),
+            hierarchy,
+            probe_addrs: lines.probe_line_addrs(),
+            empty_lines: ObservedLines::for_config(&lines),
+            lines,
+            coherent,
+            telemetry,
+        }
+    }
+
+    /// The attacker's flush of one line, as far as its capability reaches.
+    fn flush_line(&mut self, addr: u64) {
+        if self.coherent {
+            self.hierarchy.flush_line(addr);
+        } else {
+            self.hierarchy.l2_mut().flush_line(addr);
+        }
+    }
+}
+
+impl StageVictim for TwoLevelVictim {
+    type Key = RoundKey64;
+
+    fn observe_stage(&mut self, plaintext: u64, stage_round: usize) -> ObservedLines {
+        self.telemetry.counter_inc("attack.encryptions");
+        // Attacker flush phase.
+        for i in 0..self.probe_addrs.len() {
+            self.flush_line(self.probe_addrs[i]);
+        }
+        // The victim runs rounds 1..=stage_round + 1; the attacker's flush
+        // after round `stage_round` follows the same capability.
+        let mut state = plaintext;
+        for round in 0..=stage_round {
+            if round == stage_round {
+                if self.coherent {
+                    self.hierarchy.flush_all();
+                } else {
+                    self.hierarchy.flush_l2_only();
+                }
+            }
+            let mut obs = VictimSideObserver {
+                hierarchy: &mut self.hierarchy,
+            };
+            state = self.cipher.run_single_round(state, round, &mut obs);
+        }
+        // Probe the shared L2.
+        let mut observed = self.empty_lines;
+        for i in 0..self.probe_addrs.len() {
+            let addr = self.probe_addrs[i];
+            if self.hierarchy.attacker_probe_l2(addr) {
+                observed.insert(addr);
+            }
+            self.flush_line(addr);
+        }
+        observed
+    }
+
+    /// Elimination on L2-line granularity.
+    fn hypothesis_consistent(
+        &self,
+        target: &TargetSpec,
+        observed: &ObservedLines,
+        v_bit: bool,
+        u_bit: bool,
+    ) -> bool {
+        observed.contains(
+            &self
+                .lines
+                .line_addr_of_index(target.expected_index(v_bit, u_bit)),
+        )
+    }
 }
 
 /// Runs a stage-1 recovery under the given hierarchy setting.
 pub fn measure(setting: HierarchySetting, key: Key, max_encryptions: u64) -> HierarchyRow {
-    measure_traced(
-        setting,
-        key,
-        max_encryptions,
-        grinch_telemetry::Telemetry::disabled(),
-    )
+    measure_traced(setting, key, max_encryptions, Telemetry::disabled())
 }
 
 /// Like [`measure`], but wraps the row in an `experiment.hierarchy.cell`
@@ -92,178 +181,44 @@ pub fn measure_traced(
     setting: HierarchySetting,
     key: Key,
     max_encryptions: u64,
-    telemetry: grinch_telemetry::Telemetry,
+    telemetry: Telemetry,
 ) -> HierarchyRow {
     let _span = grinch_telemetry::span!(
         telemetry,
         "experiment.hierarchy.cell",
         setting = setting.to_string()
     );
-    match setting {
+    let config = StageConfig::new().with_max_encryptions(max_encryptions);
+    let result = match setting {
         HierarchySetting::FlatSharedL1 => {
-            let mut oracle =
-                crate::oracle::VictimOracle::new(key, crate::oracle::ObservationConfig::ideal());
+            let mut oracle = VictimOracle::new(key, ObservationConfig::ideal());
             oracle.set_telemetry(telemetry);
             let mut rng = StdRng::seed_from_u64(0x11e7);
-            let cfg = crate::stage::StageConfig::new().with_max_encryptions(max_encryptions);
-            let result = crate::stage::run_stage(&mut oracle, &[], 1, &cfg, &mut rng);
-            let truth = gift_cipher::Gift64::new(key).round_keys()[0];
-            HierarchyRow {
-                setting,
-                recovered: result.round_key() == Some(truth),
-                encryptions: result.encryptions,
-            }
+            run_stage(&mut oracle, &[], 1, &config, &mut rng)
         }
         HierarchySetting::TwoLevelCoherentFlush | HierarchySetting::TwoLevelL2OnlyFlush => {
-            measure_two_level(setting, key, max_encryptions, telemetry)
+            let coherent = setting == HierarchySetting::TwoLevelCoherentFlush;
+            let mut victim = TwoLevelVictim::new(key, coherent, telemetry);
+            let mut rng = StdRng::seed_from_u64(0x11e8);
+            run_stage(&mut victim, &[], 1, &config, &mut rng)
         }
-    }
-}
-
-fn measure_two_level(
-    setting: HierarchySetting,
-    key: Key,
-    max_encryptions: u64,
-    telemetry: grinch_telemetry::Telemetry,
-) -> HierarchyRow {
-    let layout = TableLayout::default();
-    let cipher = TableGift64::new(key, layout);
-    let l2_line = 8usize;
-    let mut hierarchy = TwoLevelHierarchy::grinch_default();
-    hierarchy.set_telemetry(telemetry.clone());
-    let probe_addrs = l2_probe_addrs(&layout, l2_line);
-    let coherent = setting == HierarchySetting::TwoLevelCoherentFlush;
-
-    let mut rng = StdRng::seed_from_u64(0x11e8);
-    let mut encryptions = 0u64;
-    let mut candidates = [CandidateSet::full(); GIFT64_SEGMENTS];
-    let truth = gift_cipher::Gift64::new(key).round_keys()[0];
-
-    'batches: for batch in disjoint_batches(1) {
-        let mut stall_limit = 24u64;
-        loop {
-            for rotation in 0..16usize {
-                if batch.iter().all(|&s| candidates[s].is_resolved()) {
-                    break;
-                }
-                let specs: Vec<TargetSpec> = batch
-                    .iter()
-                    .map(|&s| {
-                        let pattern = if rotation == 0 {
-                            0b1111
-                        } else {
-                            rng.gen_range(0..16u8)
-                        };
-                        TargetSpec::with_forced_pattern(1, s, pattern)
-                    })
-                    .collect();
-                let mut stall = 0u64;
-                while stall < stall_limit {
-                    if encryptions >= max_encryptions {
-                        break 'batches;
-                    }
-                    if batch.iter().all(|&s| candidates[s].is_resolved()) {
-                        break;
-                    }
-                    let pt = craft_plaintext(&specs, &[], &mut rng).expect("disjoint batch");
-                    encryptions += 1;
-                    telemetry.counter_inc("attack.encryptions");
-                    // Attacker flush phase.
-                    for &a in &probe_addrs {
-                        if coherent {
-                            hierarchy.flush_line(a);
-                        } else {
-                            hierarchy.l2_mut().flush_line(a);
-                        }
-                    }
-                    // Victim runs rounds 1..=2; attacker's flush after
-                    // round 1 follows the same capability.
-                    let mut state = pt;
-                    for round in 0..2usize {
-                        if round == 1 {
-                            if coherent {
-                                hierarchy.flush_all();
-                            } else {
-                                hierarchy.flush_l2_only();
-                            }
-                        }
-                        let mut obs = VictimSideObserver {
-                            hierarchy: &mut hierarchy,
-                        };
-                        state = cipher.run_single_round(state, round, &mut obs);
-                    }
-                    // Probe the shared L2.
-                    let mut observed = std::collections::BTreeSet::new();
-                    for &a in &probe_addrs {
-                        if hierarchy.attacker_probe_l2(a) {
-                            observed.insert(a);
-                        }
-                        if coherent {
-                            hierarchy.flush_line(a);
-                        } else {
-                            hierarchy.l2_mut().flush_line(a);
-                        }
-                    }
-                    // Eliminate on L2-line granularity.
-                    let mut progressed = 0usize;
-                    for spec in &specs {
-                        let set = &mut candidates[spec.segment];
-                        progressed += set.retain(|v, u| {
-                            let addr = layout.sbox_entry_addr(spec.expected_index(v, u));
-                            observed.contains(&(addr / l2_line as u64 * l2_line as u64))
-                        });
-                        if set.is_empty() {
-                            // True hypothesis erased: channel broken.
-                            break 'batches;
-                        }
-                    }
-                    if progressed == 0 {
-                        stall += 1;
-                    } else {
-                        stall = 0;
-                    }
-                }
-            }
-            if batch.iter().all(|&s| candidates[s].is_resolved()) {
-                break;
-            }
-            stall_limit = stall_limit.saturating_mul(8);
-        }
-    }
-
-    let recovered = candidates.iter().all(CandidateSet::is_resolved) && {
-        let mut v = 0u16;
-        let mut u = 0u16;
-        for (s, set) in candidates.iter().enumerate() {
-            let (vb, ub) = set.resolved().expect("resolved");
-            v |= u16::from(vb) << s;
-            u |= u16::from(ub) << s;
-        }
-        v == truth.v && u == truth.u
     };
+    let truth = gift_cipher::Gift64::new(key).round_keys()[0];
     HierarchyRow {
         setting,
-        recovered,
-        encryptions,
+        recovered: result.round_key() == Some(truth),
+        encryptions: result.encryptions,
     }
 }
 
 /// Runs all three settings.
 pub fn run(key: Key, max_encryptions: u64) -> Vec<HierarchyRow> {
-    run_traced(
-        key,
-        max_encryptions,
-        grinch_telemetry::Telemetry::disabled(),
-    )
+    run_traced(key, max_encryptions, Telemetry::disabled())
 }
 
 /// Like [`run`], but nests every setting's span under an
 /// `experiment.hierarchy` root span in `telemetry`.
-pub fn run_traced(
-    key: Key,
-    max_encryptions: u64,
-    telemetry: grinch_telemetry::Telemetry,
-) -> Vec<HierarchyRow> {
+pub fn run_traced(key: Key, max_encryptions: u64, telemetry: Telemetry) -> Vec<HierarchyRow> {
     let _span = grinch_telemetry::span!(telemetry, "experiment.hierarchy");
     [
         HierarchySetting::FlatSharedL1,

@@ -24,7 +24,9 @@
 //! ```
 
 use crate::eliminate::CandidateSet;
-use crate::oracle::{ObservationConfig, ObservedLines};
+use crate::oracle::{ObservationConfig, ObservedLines, ProbeStrategy, VictimVariant};
+use crate::stage::{run_stage, StageConfig, StageKey, StageVictim};
+use crate::target::deal_batches;
 use cache_sim::{Cache, CacheObserver, Domain};
 use gift_cipher::bitwise::{invert_with_round_keys_128, Gift128};
 use gift_cipher::constants::ROUND_CONSTANTS;
@@ -115,34 +117,7 @@ impl TargetSpec128 {
 /// Splits the 32 targets into four batches of eight with pairwise-disjoint
 /// source quads.
 pub fn disjoint_batches_128(stage_round: usize) -> [[usize; 8]; 4] {
-    let mut batches = [[0usize; 8]; 4];
-    let mut fill = [0usize; 4];
-    let mut used = [false; GIFT128_SEGMENTS];
-    for s in 0..GIFT128_SEGMENTS {
-        if used[s] {
-            continue;
-        }
-        // Collect the four targets sharing s's quad; they must land in
-        // different batches.
-        let mut quad_sources = TargetSpec128::new(stage_round, s).source_segments();
-        quad_sources.sort_unstable();
-        let mut partners = Vec::with_capacity(4);
-        for t in 0..GIFT128_SEGMENTS {
-            let mut other = TargetSpec128::new(stage_round, t).source_segments();
-            other.sort_unstable();
-            if other == quad_sources {
-                partners.push(t);
-            }
-        }
-        debug_assert_eq!(partners.len(), 4);
-        for (batch, &p) in partners.iter().enumerate() {
-            batches[batch][fill[batch]] = p;
-            fill[batch] += 1;
-            used[p] = true;
-        }
-    }
-    debug_assert!(fill.iter().all(|&f| f == 8));
-    batches
+    deal_batches(|s| TargetSpec128::new(stage_round, s).source_segments())
 }
 
 /// Crafts a plaintext pinning every target in `targets` (disjoint quads
@@ -200,7 +175,9 @@ impl VictimOracle128 {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid cache configuration or probing round.
+    /// Panics on an invalid cache configuration or probing round, and on
+    /// any probe strategy but Flush+Reload or victim variant but the
+    /// lookup table: the oracle implements no other.
     pub fn new(key: Key, config: ObservationConfig) -> Self {
         config
             .cache
@@ -209,6 +186,16 @@ impl VictimOracle128 {
         assert!(
             config.probing_round >= 1 && config.probing_round < GIFT128_ROUNDS,
             "probing round must be in 1..40"
+        );
+        assert_eq!(
+            config.strategy,
+            ProbeStrategy::FlushReload,
+            "the GIFT-128 oracle probes by Flush+Reload only"
+        );
+        assert_eq!(
+            config.variant,
+            VictimVariant::Table,
+            "the GIFT-128 victim is the lookup-table cipher only"
         );
         Self {
             cipher: TableGift128::new(key, config.layout),
@@ -230,14 +217,55 @@ impl VictimOracle128 {
         self.encryptions
     }
 
+    /// One full encryption returning the ciphertext (verification pair).
+    pub fn known_pair(&mut self, plaintext: u128) -> u128 {
+        self.encryptions += 1;
+        let mut obs = gift_cipher::NullObserver;
+        self.cipher.encrypt_with(plaintext, &mut obs)
+    }
+}
+
+impl StageKey for RoundKey128 {
+    type Block = u128;
+    type Target = TargetSpec128;
+    type Candidates = [CandidateSet; GIFT128_SEGMENTS];
+    type Batch = [usize; 8];
+
+    fn disjoint_batches(stage_round: usize) -> [[usize; 8]; 4] {
+        disjoint_batches_128(stage_round)
+    }
+
+    fn target(stage_round: usize, segment: usize, pattern: u8) -> TargetSpec128 {
+        TargetSpec128::with_forced_pattern(stage_round, segment, pattern)
+    }
+
+    fn craft<R: Rng + ?Sized>(
+        targets: &[TargetSpec128],
+        known_round_keys: &[RoundKey128],
+        rng: &mut R,
+    ) -> u128 {
+        craft_plaintext_128(targets, known_round_keys, rng)
+    }
+
+    fn from_bits(v: u64, u: u64) -> Self {
+        Self {
+            v: v as u32,
+            u: u as u32,
+        }
+    }
+}
+
+impl StageVictim for VictimOracle128 {
+    type Key = RoundKey128;
+
     /// One chosen-plaintext encryption observed up to the probing moment of
     /// a stage-`stage_round` campaign: the probe fires while the victim is
     /// in round `stage_round + probing_round`, and the optional flush
     /// happens right after round `stage_round` (see
-    /// [`crate::oracle::VictimOracle::observe_stage`]). As there, no flush
+    /// the GIFT-64 [`crate::oracle::VictimOracle`]). As there, no flush
     /// phase is needed: every observation ends by flushing each monitored
     /// line right after its reload.
-    pub fn observe_stage(&mut self, plaintext: u128, stage_round: usize) -> ObservedLines {
+    fn observe_stage(&mut self, plaintext: u128, stage_round: usize) -> ObservedLines {
         self.encryptions += 1;
         let rounds = (stage_round + self.config.probing_round).min(GIFT128_ROUNDS);
         let mut state = plaintext;
@@ -258,133 +286,15 @@ impl VictimOracle128 {
         observed
     }
 
-    /// One full encryption returning the ciphertext (verification pair).
-    pub fn known_pair(&mut self, plaintext: u128) -> u128 {
-        self.encryptions += 1;
-        let mut obs = gift_cipher::NullObserver;
-        self.cipher.encrypt_with(plaintext, &mut obs)
-    }
-
     fn hypothesis_consistent(
         &self,
-        spec: &TargetSpec128,
+        target: &TargetSpec128,
         observed: &ObservedLines,
         v_bit: bool,
         u_bit: bool,
     ) -> bool {
-        let idx = spec.expected_index(v_bit, u_bit);
+        let idx = target.expected_index(v_bit, u_bit);
         observed.contains(&self.config.line_addr_of_index(idx))
-    }
-}
-
-/// Result of one GIFT-128 stage: 64 key bits across 32 segments.
-#[derive(Clone, Debug)]
-pub struct Stage128Result {
-    /// Per-segment surviving `(v, u)` hypotheses.
-    pub candidates: [CandidateSet; GIFT128_SEGMENTS],
-    /// Encryptions consumed.
-    pub encryptions: u64,
-    /// Whether the cap was hit.
-    pub capped: bool,
-}
-
-impl Stage128Result {
-    /// Whether every segment resolved uniquely.
-    pub fn is_resolved(&self) -> bool {
-        self.candidates.iter().all(CandidateSet::is_resolved)
-    }
-
-    /// The unique round key, if fully resolved.
-    pub fn round_key(&self) -> Option<RoundKey128> {
-        if !self.is_resolved() {
-            return None;
-        }
-        let mut v = 0u32;
-        let mut u = 0u32;
-        for (s, c) in self.candidates.iter().enumerate() {
-            let (vb, ub) = c.resolved().expect("resolved");
-            v |= u32::from(vb) << s;
-            u |= u32::from(ub) << s;
-        }
-        Some(RoundKey128 { u, v })
-    }
-}
-
-/// Runs one GIFT-128 stage with the same batched pattern-sweep strategy as
-/// the GIFT-64 [`crate::stage::run_stage`].
-pub fn run_stage_128<R: Rng + ?Sized>(
-    oracle: &mut VictimOracle128,
-    known_round_keys: &[RoundKey128],
-    stage_round: usize,
-    max_encryptions: u64,
-    rng: &mut R,
-) -> Stage128Result {
-    assert_eq!(known_round_keys.len(), stage_round - 1);
-    let start = oracle.encryptions();
-    let mut candidates = [CandidateSet::full(); GIFT128_SEGMENTS];
-    let mut capped = false;
-
-    'batches: for batch in disjoint_batches_128(stage_round) {
-        let mut stall_limit = 24u64;
-        loop {
-            for rotation in 0..16usize {
-                if batch.iter().all(|&s| candidates[s].is_resolved()) {
-                    break;
-                }
-                // All-ones first (the paper's forcing), randomised patterns
-                // afterwards: constant co-batched signals can permanently
-                // shadow a rival's predicted line under any fixed pattern
-                // schedule (see `crate::stage::run_stage`).
-                let specs: Vec<TargetSpec128> = batch
-                    .iter()
-                    .map(|&s| {
-                        let pattern = if rotation == 0 {
-                            0b1111
-                        } else {
-                            rng.gen_range(0..16u8)
-                        };
-                        TargetSpec128::with_forced_pattern(stage_round, s, pattern)
-                    })
-                    .collect();
-                let mut stall = 0u64;
-                while stall < stall_limit {
-                    if oracle.encryptions() - start >= max_encryptions {
-                        capped = true;
-                        break 'batches;
-                    }
-                    if batch.iter().all(|&s| candidates[s].is_resolved()) {
-                        break;
-                    }
-                    let pt = craft_plaintext_128(&specs, known_round_keys, rng);
-                    let observed = oracle.observe_stage(pt, stage_round);
-                    let mut progressed = 0usize;
-                    for spec in &specs {
-                        progressed += candidates[spec.segment]
-                            .retain(|v, u| oracle.hypothesis_consistent(spec, &observed, v, u));
-                    }
-                    if progressed == 0 {
-                        stall += 1;
-                    } else {
-                        stall = 0;
-                    }
-                    if batch.iter().any(|&s| candidates[s].is_empty()) {
-                        // Channel broken: every hypothesis refuted.
-                        capped = true;
-                        break 'batches;
-                    }
-                }
-            }
-            if batch.iter().all(|&s| candidates[s].is_resolved()) {
-                break;
-            }
-            stall_limit = stall_limit.saturating_mul(8);
-        }
-    }
-
-    Stage128Result {
-        candidates,
-        encryptions: oracle.encryptions() - start,
-        capped,
     }
 }
 
@@ -425,8 +335,9 @@ pub fn recover_full_key_128<R: Rng + ?Sized>(
     let verify_pt = 0x0123_4567_89ab_cdef_0f1e_2d3c_4b5a_6978u128;
     let verify_ct = oracle.known_pair(verify_pt);
     let mut stage_encryptions = Vec::new();
+    let config = StageConfig::new().with_max_encryptions(max_encryptions_per_stage);
 
-    let stage1 = run_stage_128(oracle, &[], 1, max_encryptions_per_stage, rng);
+    let stage1 = run_stage(oracle, &[], 1, &config, rng);
     stage_encryptions.push(stage1.encryptions);
     let Some(rk1) = stage1.round_key() else {
         return Attack128Outcome {
@@ -436,7 +347,7 @@ pub fn recover_full_key_128<R: Rng + ?Sized>(
         };
     };
 
-    let stage2 = run_stage_128(oracle, &[rk1], 2, max_encryptions_per_stage, rng);
+    let stage2 = run_stage(oracle, &[rk1], 2, &config, rng);
     stage_encryptions.push(stage2.encryptions);
     let Some(rk2) = stage2.round_key() else {
         return Attack128Outcome {
@@ -556,6 +467,26 @@ mod tests {
             "used {} encryptions",
             outcome.encryptions
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "Flush+Reload only")]
+    fn prime_probe_config_is_rejected() {
+        let config = ObservationConfig {
+            strategy: ProbeStrategy::PrimeProbe,
+            ..ObservationConfig::ideal()
+        };
+        VictimOracle128::new(key(), config);
+    }
+
+    #[test]
+    #[should_panic(expected = "lookup-table cipher only")]
+    fn wide_line_config_is_rejected() {
+        let config = ObservationConfig {
+            variant: VictimVariant::WideLine,
+            ..ObservationConfig::ideal()
+        };
+        VictimOracle128::new(key(), config);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use crate::craft::craft_plaintext;
 use crate::oracle::{ObservedLines, VictimOracle};
+use crate::stage::StageVictim;
 use crate::target::{disjoint_batches, TargetSpec};
 use gift_cipher::key_schedule::RoundKey64;
 use gift_cipher::GIFT64_SEGMENTS;

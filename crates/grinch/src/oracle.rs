@@ -21,11 +21,13 @@
 //! removes the key-independent first-round accesses ("Grinch with Flush").
 
 use crate::noise::NoiseChannel;
+use crate::stage::StageVictim;
 use crate::target::TargetSpec;
 use cache_sim::{Cache, CacheConfig, Domain};
 use gift_cipher::countermeasure::{
     masked_round_keys_64, FullScanGift64, PreloadGift64, WideLineGift64,
 };
+use gift_cipher::key_schedule::RoundKey64;
 use gift_cipher::{Key, MemoryObserver, NullObserver, TableGift64, TableLayout, GIFT64_ROUNDS};
 
 /// Which probe mechanic the attacker uses (paper Step 2 discusses both and
@@ -624,28 +626,12 @@ impl VictimOracle {
     /// moment for a **stage-1** campaign, and returns the set of S-box
     /// lines the probe found resident.
     ///
-    /// Shorthand for [`VictimOracle::observe_stage`] with `stage_round = 1`.
+    /// Shorthand for [`StageVictim::observe_stage`] with `stage_round = 1`.
     pub fn observe(&mut self, plaintext: u64) -> ObservedLines {
         self.observe_stage(plaintext, 1)
     }
 
-    /// One observed encryption for a stage-`stage_round` campaign (paper
-    /// Step 5 — "change target round").
-    ///
-    /// The signal is round `stage_round + 1`'s S-box accesses, so the probe
-    /// fires while the victim executes round `stage_round +
-    /// probing_round`; the optional flush happens right after round
-    /// `stage_round` (for stage 1 that is the paper's flush after round 1),
-    /// removing the accesses of the already-known earlier rounds. A
-    /// Prime+Probe attacker has no flush instruction: its "flush" is a
-    /// re-prime, which evicts the victim's lines from the monitored sets.
-    pub fn observe_stage(&mut self, plaintext: u64, stage_round: usize) -> ObservedLines {
-        let mut out = ObservedLines::new();
-        self.observe_stage_into(plaintext, stage_round, &mut out);
-        out
-    }
-
-    /// [`VictimOracle::observe_stage`] writing into a caller-provided set,
+    /// [`StageVictim::observe_stage`] writing into a caller-provided set,
     /// which is overwritten with an observation over this oracle's lines.
     pub fn observe_stage_into(
         &mut self,
@@ -783,13 +769,33 @@ impl VictimOracle {
         }
         self.run_rounds(plaintext, GIFT64_ROUNDS)
     }
+}
 
-    /// Whether the observation in `observed` is *consistent* with the
-    /// round-key-bit hypothesis `(v_bit, u_bit)` for `spec`: the line the
-    /// hypothesis predicts must be present (absence refutes it).
-    pub fn hypothesis_consistent(
+/// The paper's victim: Flush+Reload or Prime+Probe over the shared cache.
+/// It alone publishes the stage feed, once telemetry is attached.
+impl StageVictim for VictimOracle {
+    type Key = RoundKey64;
+
+    /// One observed encryption for a stage-`stage_round` campaign (paper
+    /// Step 5 — "change target round").
+    ///
+    /// The signal is round `stage_round + 1`'s S-box accesses, so the probe
+    /// fires while the victim executes round `stage_round +
+    /// probing_round`; the optional flush happens right after round
+    /// `stage_round` (for stage 1 that is the paper's flush after round 1),
+    /// removing the accesses of the already-known earlier rounds. A
+    /// Prime+Probe attacker has no flush instruction: its "flush" is a
+    /// re-prime, which evicts the victim's lines from the monitored sets.
+    fn observe_stage(&mut self, plaintext: u64, stage_round: usize) -> ObservedLines {
+        let mut out = ObservedLines::new();
+        self.observe_stage_into(plaintext, stage_round, &mut out);
+        out
+    }
+
+    /// One bit test: the bit of the line the hypothesis predicts.
+    fn hypothesis_consistent(
         &self,
-        spec: &TargetSpec,
+        target: &TargetSpec,
         observed: &ObservedLines,
         v_bit: bool,
         u_bit: bool,
@@ -800,8 +806,12 @@ impl VictimOracle {
                     == (self.empty_lines.base, self.empty_lines.shift),
             "observation over another oracle's lines"
         );
-        let bit = self.index_bits[usize::from(spec.expected_index(v_bit, u_bit))];
+        let bit = self.index_bits[usize::from(target.expected_index(v_bit, u_bit))];
         observed.bits & (1 << bit) != 0
+    }
+
+    fn stage_telemetry(&self) -> Option<(grinch_telemetry::Telemetry, usize)> {
+        Some((self.telemetry.clone(), self.probe_addrs.len()))
     }
 }
 

@@ -17,12 +17,13 @@
 //! touched appears, and extra lines only ever *add* presence — absence
 //! remains proof of innocence, so candidate elimination stays sound.
 
-use crate::eliminate::CandidateSet;
-use crate::target::{disjoint_batches, TargetSpec};
+use crate::oracle::{ObservationConfig, ObservedLines};
+use crate::stage::{run_stage, StageConfig, StageVictim};
+use crate::target::TargetSpec;
 use gift_cipher::key_schedule::RoundKey64;
-use gift_cipher::{Key, GIFT64_SEGMENTS};
+use gift_cipher::Key;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use soc_sim::platform::PlatformConfig;
 use soc_sim::scenario::{run_mpsoc_with, ScenarioReport};
 use std::collections::BTreeSet;
@@ -56,94 +57,77 @@ pub struct PlatformStageOutcome {
     pub encryptions: u64,
 }
 
+/// The MPSoC co-simulation as a stage victim: every observation is one
+/// full platform run, assembled from its probe records.
+struct MpsocVictim<'a> {
+    config: &'a PlatformConfig,
+    key: Key,
+    /// The platform's cache geometry and table placement.
+    lines: ObservationConfig,
+    /// The empty line set over the platform's S-box lines.
+    empty_lines: ObservedLines,
+}
+
+impl StageVictim for MpsocVictim<'_> {
+    type Key = RoundKey64;
+
+    fn observe_stage(&mut self, plaintext: u64, stage_round: usize) -> ObservedLines {
+        let report = run_mpsoc_with(self.config, self.key, vec![plaintext]);
+        let mut observed = self.empty_lines;
+        for addr in observed_lines_for_round(&report, stage_round + 1) {
+            observed.insert(addr);
+        }
+        observed
+    }
+
+    fn hypothesis_consistent(
+        &self,
+        target: &TargetSpec,
+        observed: &ObservedLines,
+        v_bit: bool,
+        u_bit: bool,
+    ) -> bool {
+        observed.contains(
+            &self
+                .lines
+                .line_addr_of_index(target.expected_index(v_bit, u_bit)),
+        )
+    }
+}
+
 /// Recovers round 1's 32 key bits with every observation produced by a
 /// real MPSoC co-simulation run.
 ///
 /// Each crafted plaintext triggers one simulated encryption on the
 /// platform (`config`); the attacker tile's probe passes are folded into a
-/// round-2 observation and fed to the standard elimination.
+/// round-2 observation and fed to the standard stage loop.
 pub fn recover_round1_on_mpsoc(
     config: &PlatformConfig,
     key: Key,
     max_encryptions: u64,
     seed: u64,
 ) -> PlatformStageOutcome {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut candidates = [CandidateSet::full(); GIFT64_SEGMENTS];
-    let mut encryptions = 0u64;
-    let layout = config.layout;
-    let line_bytes = config.cache.line_bytes as u64;
-
-    'batches: for batch in disjoint_batches(1) {
-        let mut stall_limit = 24u64;
-        loop {
-            for rotation in 0..16usize {
-                if batch.iter().all(|&s| candidates[s].is_resolved()) {
-                    break;
-                }
-                let specs: Vec<TargetSpec> = batch
-                    .iter()
-                    .map(|&s| {
-                        let pattern = if rotation == 0 {
-                            0b1111
-                        } else {
-                            rng.gen_range(0..16u8)
-                        };
-                        TargetSpec::with_forced_pattern(1, s, pattern)
-                    })
-                    .collect();
-                let mut stall = 0u64;
-                while stall < stall_limit {
-                    if encryptions >= max_encryptions {
-                        break 'batches;
-                    }
-                    if batch.iter().all(|&s| candidates[s].is_resolved()) {
-                        break;
-                    }
-                    let pt = crate::craft::craft_plaintext(&specs, &[], &mut rng)
-                        .expect("disjoint batch");
-                    encryptions += 1;
-                    // One full platform co-simulation for this encryption.
-                    let report = run_mpsoc_with(config, key, vec![pt]);
-                    let observed = observed_lines_for_round(&report, 2);
-                    let mut progressed = 0usize;
-                    for spec in &specs {
-                        let set = &mut candidates[spec.segment];
-                        progressed += set.retain(|v, u| {
-                            let addr = layout.sbox_entry_addr(spec.expected_index(v, u));
-                            observed.contains(&(addr / line_bytes * line_bytes))
-                        });
-                        if set.is_empty() {
-                            break 'batches;
-                        }
-                    }
-                    if progressed == 0 {
-                        stall += 1;
-                    } else {
-                        stall = 0;
-                    }
-                }
-            }
-            if batch.iter().all(|&s| candidates[s].is_resolved()) {
-                break;
-            }
-            stall_limit = stall_limit.saturating_mul(8);
-        }
-    }
-
-    let round_key = candidates.iter().all(CandidateSet::is_resolved).then(|| {
-        let mut v = 0u16;
-        let mut u = 0u16;
-        for (s, set) in candidates.iter().enumerate() {
-            let (vb, ub) = set.resolved().expect("resolved");
-            v |= u16::from(vb) << s;
-            u |= u16::from(ub) << s;
-        }
-        RoundKey64 { u, v }
-    });
+    let lines = ObservationConfig {
+        cache: config.cache,
+        layout: config.layout,
+        ..ObservationConfig::ideal()
+    };
+    let mut victim = MpsocVictim {
+        config,
+        key,
+        empty_lines: ObservedLines::for_config(&lines),
+        lines,
+    };
+    let result = run_stage(
+        &mut victim,
+        &[],
+        1,
+        &StageConfig::new().with_max_encryptions(max_encryptions),
+        &mut StdRng::seed_from_u64(seed),
+    );
     PlatformStageOutcome {
-        round_key,
-        encryptions,
+        round_key: result.round_key(),
+        encryptions: result.encryptions,
     }
 }
 

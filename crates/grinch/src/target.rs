@@ -162,7 +162,7 @@ impl TargetSpec {
         (v, u)
     }
 
-    /// The four 1-based target segments that share this target's source
+    /// The four target segments (0..16) that share this target's source
     /// quad. Campaigns for one segment per quad can share encryptions (their
     /// source constraints are disjoint).
     pub fn quad_partners(&self) -> [usize; 4] {
@@ -189,25 +189,38 @@ impl TargetSpec {
 ///
 /// Returns four batches of four target segments each.
 pub fn disjoint_batches(stage_round: usize) -> [[usize; 4]; 4] {
-    let mut batches = [[0usize; 4]; 4];
-    let mut used = [false; GIFT64_SEGMENTS];
-    let mut batch_idx = 0;
-    for s in 0..GIFT64_SEGMENTS {
+    deal_batches(|s| TargetSpec::new(stage_round, s).source_segments())
+}
+
+/// Deals the `4 * B` targets of one width into four batches of `B` whose
+/// source quads are pairwise disjoint. The four targets sharing a quad
+/// (its partners, ascending) go to different batches; quads are taken in
+/// the order of their lowest target.
+pub(crate) fn deal_batches<const B: usize>(
+    source_segments: impl Fn(usize) -> [usize; 4],
+) -> [[usize; B]; 4] {
+    let quads: Vec<[usize; 4]> = (0..4 * B)
+        .map(|s| {
+            let mut quad = source_segments(s);
+            quad.sort_unstable();
+            quad
+        })
+        .collect();
+    let mut batches = [[0usize; B]; 4];
+    let mut used = vec![false; 4 * B];
+    let mut column = 0;
+    for s in 0..4 * B {
         if used[s] {
             continue;
         }
-        // s and its quad partners all share sources; put one partner per
-        // batch column? No: partners share the SAME sources, so they must go
-        // to DIFFERENT batches. Conversely segments with disjoint sources go
-        // to the same batch.
-        let partners = TargetSpec::new(stage_round, s).quad_partners();
-        for (i, &p) in partners.iter().enumerate() {
-            batches[i][batch_idx] = p;
+        let partners = (0..4 * B).filter(|&t| quads[t] == quads[s]);
+        for (batch, p) in partners.enumerate() {
+            batches[batch][column] = p;
             used[p] = true;
         }
-        batch_idx += 1;
+        column += 1;
     }
-    debug_assert_eq!(batch_idx, 4);
+    debug_assert_eq!(column, B, "each quad feeds exactly four targets");
     batches
 }
 

@@ -11,6 +11,7 @@ use grinch::craft::craft_plaintext;
 use grinch::eliminate::CandidateSet;
 use grinch::noise::NoiseChannel;
 use grinch::oracle::{ObservationConfig, ObservedLines, VictimOracle, VictimVariant};
+use grinch::stage::StageVictim;
 use grinch::target::{disjoint_batches, TargetSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -6,6 +6,7 @@ use cache_sim::{Cache, CacheConfig, CacheObserver};
 use gift_cipher::state::segment_64;
 use gift_cipher::{Gift64, Key, RecordingObserver, TableGift64, TableLayout, GIFT64_ROUNDS};
 use grinch::oracle::{ObservationConfig, VictimOracle};
+use grinch::stage::StageVictim;
 use grinch::target::TargetSpec;
 
 #[test]
