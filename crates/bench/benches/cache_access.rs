@@ -10,6 +10,9 @@
 //! empty set (`prime_empty`), onto a primed set (`probe_hits`), into the 8
 //! attacker ways of a partitioned set (`partition_thrash`), and under a
 //! cache re-keyed every 64 accesses (`prime_rekey64`). See DESIGN.md §15.
+//! Each has a `/whole_set` twin that reads the same group with one
+//! `access_set_from`, the call the Prime+Probe oracle makes (DESIGN.md §11,
+//! "Whole-set Prime+Probe").
 //!
 //! `reload_flush16` times Flush+Reload's reload phase: one
 //! `reload_and_flush_from` over the 16 S-box lines of the paper's layout,
@@ -20,7 +23,7 @@
 
 use std::time::Duration;
 
-use cache_sim::{Cache, CacheConfig, Domain, IndexMapping, WayPartition};
+use cache_sim::{Cache, CacheConfig, Domain, IndexMapping, SetGroup, WayPartition};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gift_cipher::TableLayout;
 use grinch_telemetry::Telemetry;
@@ -68,6 +71,7 @@ fn bench_cache_access(c: &mut Criterion) {
     let base = CacheConfig::grinch_default();
     let stride = (base.line_bytes * base.num_sets) as u64;
     let set16: Vec<u64> = (0..16u64).map(|w| 0x10_0000 + w * stride).collect();
+    let whole16 = SetGroup::new(&base, &set16).expect("one set class");
     let mut empty = Cache::new(base);
     group.bench_function("set16/prime_empty", |b| {
         b.iter(|| {
@@ -75,6 +79,12 @@ fn bench_cache_access(c: &mut Criterion) {
             empty.access_batch_from(black_box(&set16), Domain::Attacker, |_, o| {
                 black_box(o);
             })
+        })
+    });
+    group.bench_function("set16/prime_empty/whole_set", |b| {
+        b.iter(|| {
+            empty.flush_all();
+            empty.access_set_from(black_box(&whole16), Domain::Attacker)
         })
     });
     for (label, config) in [
@@ -99,6 +109,11 @@ fn bench_cache_access(c: &mut Criterion) {
                     black_box(o);
                 })
             })
+        });
+        let mut cache = Cache::new(config);
+        cache.access_set_from(&whole16, Domain::Attacker);
+        group.bench_function(format!("set16/{label}/whole_set"), |b| {
+            b.iter(|| cache.access_set_from(black_box(&whole16), Domain::Attacker))
         });
     }
 

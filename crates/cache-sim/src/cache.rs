@@ -130,6 +130,37 @@ impl Ring {
         old
     }
 
+    /// One LRU (`lru`) or FIFO access of `line`: a hit, which under LRU
+    /// makes the line the newest, or a miss, which appends the line or
+    /// replaces the oldest. Returns whether it hit and the evicted line.
+    #[inline(always)]
+    fn access(&mut self, ways: &mut [u64], line: u64, lru: bool) -> (bool, Option<u64>) {
+        match self.find(ways, line) {
+            Some(k) => {
+                if lru {
+                    self.touch(ways, k);
+                }
+                (true, None)
+            }
+            None if (self.count as usize) < ways.len() => {
+                self.push(ways, line);
+                (false, None)
+            }
+            None => (false, Some(self.replace_oldest(ways, line))),
+        }
+    }
+
+    /// Whether the ring is full and holds `lines` (one per way) from the
+    /// oldest to the newest.
+    #[inline(always)]
+    fn holds_in_order(self, ways: &[u64], lines: &[u64]) -> bool {
+        let (head, width) = (self.head as usize, ways.len());
+        self.count as usize == width
+            && lines.len() == width
+            && ways[head..] == lines[..width - head]
+            && ways[..head] == lines[width - head..]
+    }
+
     /// Makes the line at offset `k` the newest (an LRU hit). Touching the
     /// oldest line of a full ring — every hit of a Prime+Probe probe
     /// sweep — only advances `head`.
@@ -365,19 +396,9 @@ impl Cache {
         let (ways, ring) = (&mut self.lines[span], &mut self.rings[ring_idx]);
         let width = ways.len();
         let (hit, evicted_line) = match policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => match ring.find(ways, line) {
-                Some(k) => {
-                    if policy == ReplacementPolicy::Lru {
-                        ring.touch(ways, k);
-                    }
-                    (true, None)
-                }
-                None if (ring.count as usize) < width => {
-                    ring.push(ways, line);
-                    (false, None)
-                }
-                None => (false, Some(ring.replace_oldest(ways, line))),
-            },
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                ring.access(ways, line, policy == ReplacementPolicy::Lru)
+            }
             // Random draws a physical way, so its lines stay where they
             // were filled: the first empty way, else the drawn one.
             ReplacementPolicy::Random => {
@@ -533,6 +554,94 @@ impl Cache {
             sink(addr, outcome);
         }
         self.publish_tally(&tally);
+    }
+
+    /// Reads every line of `group` on behalf of `domain`, in order, and
+    /// returns how many of the reads missed: a Prime+Probe prime or probe
+    /// of one monitored set. Simulator state, statistics and telemetry
+    /// are exactly those of [`Cache::access_batch_from`] over
+    /// [`SetGroup::addrs`].
+    ///
+    /// Under LRU and FIFO the group's set and ring are resolved once per
+    /// run of reads that no rekey interrupts. A rekeying read goes through
+    /// the per-access core, and the rest of the group runs on the cache it
+    /// invalidated. Within a run three whole-ring states take one step
+    /// (DESIGN.md §11, "Whole-set Prime+Probe"); any other state runs the
+    /// ring loop. `Random` replacement, and a group built for another
+    /// geometry, take `access_batch_from` itself.
+    pub fn access_set_from(&mut self, group: &SetGroup, domain: Domain) -> u64 {
+        let geometry = (self.config.line_bytes, self.config.num_sets);
+        if self.config.replacement == ReplacementPolicy::Random
+            || (group.line_bytes, group.num_sets) != geometry
+        {
+            let mut misses = 0;
+            self.access_batch_from(&group.addrs, domain, |_, o| {
+                misses += u64::from(o.is_miss())
+            });
+            return misses;
+        }
+        let mut tally = BatchTally::default();
+        let mut done = 0;
+        while done < group.lines.len() {
+            let left = (group.lines.len() - done) as u64;
+            let run = self.mapper.accesses_before_rekey().min(left) as usize;
+            if run == 0 {
+                let (outcome, remapped) = self.access_core(group.addrs[done], domain);
+                tally.note(&outcome, remapped);
+                done += 1;
+            } else {
+                self.mapper.note_accesses_within_epoch(run as u64);
+                self.set_run(&group.lines[done..done + run], domain, &mut tally);
+                done += run;
+            }
+        }
+        self.publish_tally(&tally);
+        tally.misses
+    }
+
+    /// Reads `lines` (distinct, one set class, under a mapping no read
+    /// re-keys) through their ring under LRU or FIFO, counting each read
+    /// in the statistics and in `tally`.
+    #[inline(always)]
+    fn set_run(&mut self, lines: &[u64], domain: Domain, tally: &mut BatchTally) {
+        let set_idx = self.mapper.set_of(lines[0], self.config.num_sets);
+        let lru = self.config.replacement == ReplacementPolicy::Lru;
+        let (span, ring_idx) = self.locate(set_idx, domain);
+        let (ways, ring) = (&mut self.lines[span], &mut self.rings[ring_idx]);
+        let (width, n) = (ways.len(), lines.len() as u64);
+        let mut counts = BatchTally::default();
+        if lines.len() >= width && ring.holds_in_order(ways, &lines[lines.len() - width..]) {
+            if lines.len() == width {
+                // Each read hits the oldest line; under LRU it becomes the
+                // newest, so after `width` reads the ring is as it was.
+                counts.hits = n;
+            } else {
+                // The ring never holds the line read next, so every read
+                // replaces the oldest. The ring ends holding the same
+                // suffix in order, with `head` and the slab both moved on
+                // by `n mod width` ways.
+                let shift = lines.len() % width;
+                ways.rotate_right(shift);
+                ring.head = ring.slot(shift, width) as u16;
+                (counts.misses, counts.evictions) = (n, n);
+            }
+        } else if ring.count == 0 && lines.len() <= width {
+            for &line in lines {
+                ring.push(ways, line);
+            }
+            counts.misses = n;
+        } else {
+            for &line in lines {
+                let (hit, evicted) = ring.access(ways, line, lru);
+                counts.note_parts(hit, evicted.is_some());
+            }
+        }
+        self.stats.hits += counts.hits;
+        self.stats.misses += counts.misses;
+        self.stats.evictions += counts.evictions;
+        tally.hits += counts.hits;
+        tally.misses += counts.misses;
+        tally.evictions += counts.evictions;
     }
 
     /// Flush+Reload's reload phase as one batched cycle: for each address,
@@ -698,6 +807,73 @@ impl Cache {
     }
 }
 
+/// A group of distinct lines that share one set class (`line mod
+/// num_sets`) of a cache geometry, in read order: a Prime+Probe eviction
+/// group. Every [`crate::Mapper`] places one set class in one set within
+/// an epoch, so [`Cache::access_set_from`] can resolve the group's set once
+/// per epoch. The preconditions are checked once, here.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SetGroup {
+    addrs: Box<[u64]>,
+    lines: Box<[u64]>,
+    line_bytes: usize,
+    num_sets: usize,
+}
+
+/// Why [`SetGroup::new`] refused a group.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SetGroupError {
+    /// Two addresses fall in the line at this address.
+    RepeatedLine(u64),
+    /// The line at this address lies in another set class than the first.
+    OtherSet(u64),
+    /// The address lies in the line the cache reserves as "no line".
+    ReservedLine(u64),
+}
+
+impl std::fmt::Display for SetGroupError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::RepeatedLine(a) => write!(f, "address {a:#x} repeats a line of the group"),
+            Self::OtherSet(a) => write!(f, "address {a:#x} lies in another set class"),
+            Self::ReservedLine(a) => write!(f, "address {a:#x} lies in the reserved line"),
+        }
+    }
+}
+
+impl std::error::Error for SetGroupError {}
+
+impl SetGroup {
+    /// Validates `addrs` as one group of `config`'s geometry: their lines
+    /// are distinct and share one set class.
+    pub fn new(config: &CacheConfig, addrs: &[u64]) -> Result<Self, SetGroupError> {
+        let lines: Box<[u64]> = addrs.iter().map(|&a| config.line_of(a)).collect();
+        let class = |line: u64| line & (config.num_sets as u64 - 1);
+        for (i, (&addr, &line)) in addrs.iter().zip(lines.iter()).enumerate() {
+            if line == INVALID_LINE {
+                return Err(SetGroupError::ReservedLine(addr));
+            }
+            if class(line) != class(lines[0]) {
+                return Err(SetGroupError::OtherSet(addr));
+            }
+            if lines[..i].contains(&line) {
+                return Err(SetGroupError::RepeatedLine(addr));
+            }
+        }
+        Ok(Self {
+            addrs: addrs.into(),
+            lines,
+            line_bytes: config.line_bytes,
+            num_sets: config.num_sets,
+        })
+    }
+
+    /// The group's addresses, in read order.
+    pub fn addrs(&self) -> &[u64] {
+        &self.addrs
+    }
+}
+
 /// Per-batch metric accumulator for the batched entry points: outcomes are
 /// tallied while the accesses run and published in one registry borrow at
 /// the end, so counter totals and histogram aggregates match the looped
@@ -717,11 +893,16 @@ impl BatchTally {
         if remapped {
             self.remaps += 1;
         }
-        if outcome.hit {
+        self.note_parts(outcome.hit, outcome.evicted_line.is_some());
+    }
+
+    #[inline(always)]
+    fn note_parts(&mut self, hit: bool, evicted: bool) {
+        if hit {
             self.hits += 1;
         } else {
             self.misses += 1;
-            if outcome.evicted_line.is_some() {
+            if evicted {
                 self.evictions += 1;
             }
         }

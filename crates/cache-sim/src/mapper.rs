@@ -156,6 +156,31 @@ impl Mapper {
         }
     }
 
+    /// How many of the next accesses leave the mapping as it is: the
+    /// access after them re-keys. `u64::MAX` for a mapping that never
+    /// re-keys.
+    #[inline]
+    pub fn accesses_before_rekey(&self) -> u64 {
+        match self {
+            Self::Modulo(_) => u64::MAX,
+            Self::KeyedRemap(m) => m.accesses_before_rekey(),
+        }
+    }
+
+    /// Notes `n` accesses at once, as `n` calls of
+    /// [`Mapper::note_access`] would; none of them may re-key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`Mapper::accesses_before_rekey`].
+    #[inline]
+    pub(crate) fn note_accesses_within_epoch(&mut self, n: u64) {
+        match self {
+            Self::Modulo(_) => {}
+            Self::KeyedRemap(m) => m.note_accesses_within_epoch(n),
+        }
+    }
+
     /// Stable mapper name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -248,6 +273,28 @@ impl KeyedRemapMapper {
             false
         }
     }
+
+    /// See [`Mapper::accesses_before_rekey`].
+    #[inline]
+    pub fn accesses_before_rekey(&self) -> u64 {
+        if self.epoch_accesses == 0 {
+            u64::MAX
+        } else {
+            self.epoch_accesses - 1 - self.accesses_this_epoch
+        }
+    }
+
+    /// See [`Mapper::note_accesses_within_epoch`].
+    #[inline]
+    pub(crate) fn note_accesses_within_epoch(&mut self, n: u64) {
+        assert!(
+            n <= self.accesses_before_rekey(),
+            "{n} accesses cross a rekey"
+        );
+        if self.epoch_accesses != 0 {
+            self.accesses_this_epoch += n;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -316,6 +363,44 @@ mod tests {
         for _ in 0..10_000 {
             assert!(!m.note_access());
         }
+        assert_eq!(m.accesses_before_rekey(), u64::MAX);
+        assert_eq!(
+            Mapper::Modulo(ModuloMapper).accesses_before_rekey(),
+            u64::MAX
+        );
+    }
+
+    #[test]
+    fn accesses_before_rekey_counts_down_to_the_rekeying_access() {
+        for epoch in [1u64, 3, 64] {
+            let mut stepped = KeyedRemapMapper::new(9, epoch);
+            let mut skipped = stepped.clone();
+            for _ in 0..3 * epoch {
+                let before = stepped.accesses_before_rekey();
+                assert!(before < epoch);
+                assert_eq!(stepped.note_access(), before == 0, "epoch {epoch}");
+                // The same position, reached by notes within each epoch
+                // plus one stepped rekeying access.
+                if skipped.accesses_before_rekey() == 0 {
+                    assert!(skipped.note_access());
+                } else {
+                    skipped.note_accesses_within_epoch(1);
+                }
+                assert_eq!(
+                    (skipped.epoch_key(), skipped.accesses_before_rekey()),
+                    (stepped.epoch_key(), stepped.accesses_before_rekey())
+                );
+            }
+            let mut m = KeyedRemapMapper::new(9, epoch);
+            m.note_accesses_within_epoch(epoch - 1);
+            assert!(m.note_access(), "epoch {epoch}: the next access rekeys");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cross a rekey")]
+    fn noting_accesses_across_a_rekey_panics() {
+        KeyedRemapMapper::new(9, 4).note_accesses_within_epoch(4);
     }
 
     #[test]

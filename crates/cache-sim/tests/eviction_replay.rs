@@ -11,14 +11,17 @@
 //! for all three replacement policies, with and without partitioning and
 //! keyed remapping. Every entry point replays: single accesses and flushes,
 //! and the batched `access_batch_from`, `flush_lines_from`,
-//! `reload_and_flush_from` and `flush_all_from`.
+//! `reload_and_flush_from` and `flush_all_from`. The whole-set
+//! `access_set_from` replays against both `access_batch_from` and the
+//! reference model.
 
 use cache_sim::mapper::Mapper;
 use cache_sim::replacement::ReplacementState;
 use cache_sim::{
     splitmix64, AccessOutcome, Cache, CacheConfig, CacheStats, Domain, IndexMapping,
-    ReplacementPolicy, WayPartition,
+    ReplacementPolicy, SetGroup, SetGroupError, WayPartition,
 };
+use grinch_telemetry::Telemetry;
 
 /// The seed implementation, preserved as an executable specification.
 struct ReferenceCache {
@@ -500,5 +503,226 @@ fn lru_probe_leaves_the_state_flush_then_prime_leaves() {
                 );
             }
         }
+    }
+}
+
+/// The ring a whole-set read starts from.
+#[derive(Clone, Copy, Debug)]
+enum StartRing {
+    /// Nothing resident.
+    Empty,
+    /// The group was just read.
+    Group,
+    /// Only the group's last `min(n, width)` lines were read.
+    Suffix,
+    /// Only the group's first `min(n, width)` lines were read.
+    Prefix,
+    /// A full ring of other lines of the set.
+    Others,
+    /// The group was read, then the victim read one line of the set.
+    VictimLine,
+}
+
+/// The counter totals and access-latency histogram `cache` publishes
+/// under the label `l1`.
+fn published(tel: &Telemetry) -> (Vec<u64>, grinch_telemetry::LogHistogram) {
+    let counters = [
+        "hits",
+        "misses",
+        "evictions",
+        "flushes",
+        "full_flushes",
+        "remaps",
+    ]
+    .iter()
+    .map(|c| tel.counter(&format!("l1.{c}")))
+    .collect();
+    let hist = tel
+        .snapshot()
+        .histogram("l1.access_cycles")
+        .cloned()
+        .unwrap_or_default();
+    (counters, hist)
+}
+
+#[test]
+fn whole_set_reads_replay_batched_reads_and_the_reference() {
+    // `access_set_from` against `access_batch_from` over the same
+    // addresses and against the reference model: groups of 1 to 2·W
+    // distinct lines of one set class, read three times in a row from six
+    // starting rings, under all three policies, epochs 0, 7 and 64 (with
+    // the rekey placed before, at the start, in the middle and at the end
+    // of the first read), with and without the even split. Compared after
+    // every read: the miss count, `CacheStats`, the residents in slab
+    // order, the replacement order of both domains' ways in the set, the
+    // telemetry totals and the reference's statistics and residents.
+    let stride = 64u64;
+    let set = 5u64;
+    let line = |base: u64, w: u64| base + set + w * stride;
+    let mut seed = 0x7000;
+    for policy in POLICIES {
+        for epoch_accesses in [0u64, 7, 64] {
+            for partition in [None, Some(WayPartition::even_split(16))] {
+                let mut cfg = CacheConfig::grinch_default();
+                assert_eq!((cfg.line_bytes, cfg.num_sets as u64), (1, stride));
+                cfg.replacement = policy;
+                cfg.partition = partition;
+                if epoch_accesses > 0 {
+                    cfg.mapping = IndexMapping::KeyedRemap {
+                        key: 0xab5e_7000 ^ seed,
+                        epoch_accesses,
+                    };
+                }
+                let width = if partition.is_some() { 8 } else { 16 };
+                let fresh: Vec<u64> = (200..232).map(|w| line(0x10_0000, w)).collect();
+                for n in 1..=2 * width {
+                    let addrs: Vec<u64> = (0..n).map(|w| line(0x10_0000, w)).collect();
+                    let group = SetGroup::new(&cfg, &addrs).expect("a valid group");
+                    let suffix = &addrs[(n - n.min(width)) as usize..];
+                    let prefix = &addrs[..n.min(width) as usize];
+                    let others: Vec<u64> = (100..100 + width).map(|w| line(0x10_0000, w)).collect();
+                    for start in [
+                        StartRing::Empty,
+                        StartRing::Group,
+                        StartRing::Suffix,
+                        StartRing::Prefix,
+                        StartRing::Others,
+                        StartRing::VictimLine,
+                    ] {
+                        let setup: Vec<(u64, Domain)> = match start {
+                            StartRing::Empty => Vec::new(),
+                            StartRing::Group => {
+                                addrs.iter().map(|&a| (a, Domain::Attacker)).collect()
+                            }
+                            StartRing::Suffix => {
+                                suffix.iter().map(|&a| (a, Domain::Attacker)).collect()
+                            }
+                            StartRing::Prefix => {
+                                prefix.iter().map(|&a| (a, Domain::Attacker)).collect()
+                            }
+                            StartRing::Others => {
+                                others.iter().map(|&a| (a, Domain::Attacker)).collect()
+                            }
+                            StartRing::VictimLine => addrs
+                                .iter()
+                                .map(|&a| (a, Domain::Attacker))
+                                .chain([(set + 3 * stride, Domain::Victim)])
+                                .collect(),
+                        };
+                        let mut rekey_at = vec![None];
+                        if epoch_accesses > 0 {
+                            rekey_at.extend([0, n / 2, n - 1].map(Some));
+                            rekey_at.dedup();
+                        }
+                        for at in rekey_at {
+                            seed += 1;
+                            // Reads of another set class, so that the rekey
+                            // falls at read `at` of the first group read.
+                            let pad = at.map_or(0, |j| {
+                                let before = setup.len() as u64 + j + 1;
+                                (epoch_accesses - before % epoch_accesses) % epoch_accesses
+                            });
+                            let label = format!(
+                                "{policy:?} epoch {epoch_accesses} {partition:?} n {n} \
+                                 {start:?} rekey at {at:?}"
+                            );
+                            let (tel_set, tel_batch) = (Telemetry::new(), Telemetry::new());
+                            let mut whole = Cache::new_seeded(cfg, seed);
+                            whole.set_telemetry(tel_set.clone(), "l1");
+                            let mut batched = Cache::new_seeded(cfg, seed);
+                            batched.set_telemetry(tel_batch.clone(), "l1");
+                            let mut reference = ReferenceCache::new_seeded(cfg, seed);
+                            let prelude = (0..pad)
+                                .map(|k| (0x20_0000 + set + 1 + k * stride, Domain::Attacker))
+                                .chain(setup.iter().copied());
+                            for (addr, domain) in prelude {
+                                whole.access_from(addr, domain);
+                                batched.access_from(addr, domain);
+                                reference.access_from(addr, domain);
+                            }
+                            for read in 0..3 {
+                                let misses = whole.access_set_from(&group, Domain::Attacker);
+                                let mut batch_misses = 0;
+                                batched.access_batch_from(
+                                    group.addrs(),
+                                    Domain::Attacker,
+                                    |_, o| batch_misses += u64::from(o.is_miss()),
+                                );
+                                let ref_misses = group
+                                    .addrs()
+                                    .iter()
+                                    .filter(|&&a| !reference.access_from(a, Domain::Attacker).hit)
+                                    .count()
+                                    as u64;
+                                let label = format!("{label}, read {read}");
+                                assert_eq!(misses, batch_misses, "{label}: misses");
+                                assert_eq!(misses, ref_misses, "{label}: reference misses");
+                                assert_eq!(whole.stats(), batched.stats(), "{label}: stats");
+                                assert_same_state(&whole, &reference, read);
+                                assert_eq!(
+                                    whole.resident_line_addrs(),
+                                    batched.resident_line_addrs(),
+                                    "{label}: residents in slab order"
+                                );
+                                for domain in [Domain::Attacker, Domain::Victim] {
+                                    assert_eq!(
+                                        eviction_order(&whole, &fresh, domain),
+                                        eviction_order(&batched, &fresh, domain),
+                                        "{label}: {domain:?} replacement order"
+                                    );
+                                }
+                                assert_eq!(
+                                    published(&tel_set),
+                                    published(&tel_batch),
+                                    "{label}: telemetry"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn set_groups_refuse_repeated_lines_and_other_sets() {
+    let mut cfg = CacheConfig::grinch_default().with_words_per_line(4);
+    assert_eq!((cfg.line_bytes, cfg.num_sets), (4, 16));
+    let stride = 64;
+    assert!(SetGroup::new(&cfg, &[0x100, 0x100 + stride, 0x100 + 2 * stride]).is_ok());
+    assert_eq!(
+        SetGroup::new(&cfg, &[0x100, 0x100 + stride, 0x103]),
+        Err(SetGroupError::RepeatedLine(0x103))
+    );
+    assert_eq!(
+        SetGroup::new(&cfg, &[0x100, 0x104]),
+        Err(SetGroupError::OtherSet(0x104))
+    );
+    cfg.line_bytes = 1;
+    cfg.num_sets = 1;
+    assert_eq!(
+        SetGroup::new(&cfg, &[0, u64::MAX]),
+        Err(SetGroupError::ReservedLine(u64::MAX))
+    );
+}
+
+#[test]
+fn a_group_of_another_geometry_takes_the_per_access_core() {
+    // A group validated for 4-byte lines is not one set class of a cache
+    // with 1-byte lines; the whole-set read must still equal the batch.
+    let coarse = CacheConfig::grinch_default().with_words_per_line(4);
+    let addrs: Vec<u64> = (0..20u64).map(|w| 0x100 + w * 64).collect();
+    let group = SetGroup::new(&coarse, &addrs).unwrap();
+    let mut whole = Cache::new(CacheConfig::grinch_default());
+    let mut batched = whole.clone();
+    for _ in 0..3 {
+        let mut misses = 0;
+        batched.access_batch_from(&addrs, Domain::Attacker, |_, o| {
+            misses += u64::from(o.is_miss())
+        });
+        assert_eq!(whole.access_set_from(&group, Domain::Attacker), misses);
+        assert_eq!(whole.stats(), batched.stats());
+        assert_eq!(whole.resident_line_addrs(), batched.resident_line_addrs());
     }
 }

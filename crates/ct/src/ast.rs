@@ -1668,44 +1668,87 @@ impl Parser {
                 }
                 _ => {
                     let path = self.parse_path_segments()?;
-                    // Macro invocation.
-                    if self.at_punct("!") {
-                        self.bump();
-                        let name = path.last().cloned().unwrap_or_default();
-                        let args = self.parse_macro_args()?;
-                        return Ok(Expr::Macro(name, args, line));
-                    }
-                    // Struct literal.
-                    if self.at_open('{') && !no_struct && struct_path(&path) {
-                        self.bump();
-                        let mut fields = Vec::new();
-                        while !self.at_close('}') {
-                            if self.eat_punct("..") {
-                                let base = self.parse_expr(false)?;
-                                fields.push(("..".into(), base));
-                                break;
-                            }
-                            let Some(TokenKind::Ident(fname)) = self.bump() else {
-                                return Err(self.error("expected field in struct literal"));
-                            };
-                            let value = if self.eat_punct(":") {
-                                self.parse_expr(false)?
-                            } else {
-                                Expr::Path(vec![fname.clone()], line)
-                            };
-                            fields.push((fname, value));
-                            if !self.eat_punct(",") {
-                                break;
-                            }
-                        }
-                        self.expect_close('}')?;
-                        return Ok(Expr::StructLit(path, fields, line));
-                    }
-                    Ok(Expr::Path(path, line))
+                    self.finish_path_expr(path, no_struct, line)
                 }
             },
+            // Qualified path: `<T as Trait>::f`, `<T>::f`.
+            Some(TokenKind::Punct("<")) => {
+                let mut path = self.parse_qualified_self()?;
+                path.extend(self.parse_path_segments()?);
+                self.finish_path_expr(path, no_struct, line)
+            }
             _ => Err(self.error("unsupported expression")),
         }
+    }
+
+    /// Consumes the `<T as Trait>::` of a qualified path and returns the
+    /// segment it contributes to the path: the trait's last segment, or the
+    /// type's when there is no `as`. Generic arguments inside are dropped.
+    fn parse_qualified_self(&mut self) -> Result<Vec<String>, ParseError> {
+        let start = self.pos;
+        self.skip_generics()?;
+        let mut depth = 0i32;
+        let mut qualifier = None;
+        for token in &self.tokens[start..self.pos] {
+            match &token.kind {
+                TokenKind::Punct("<") => depth += 1,
+                TokenKind::Punct(">") => depth -= 1,
+                TokenKind::Punct("<<") => depth += 2,
+                TokenKind::Punct(">>") => depth -= 2,
+                TokenKind::Ident(word) if depth == 1 && word != "as" => {
+                    qualifier = Some(word.clone())
+                }
+                _ => {}
+            }
+        }
+        if !self.eat_punct("::") {
+            return Err(self.error("expected `::` after a qualified path"));
+        }
+        Ok(qualifier.into_iter().collect())
+    }
+
+    /// The rest of a path expression once its segments are parsed: a
+    /// macro invocation, a struct literal or the plain path.
+    fn finish_path_expr(
+        &mut self,
+        path: Vec<String>,
+        no_struct: bool,
+        line: u32,
+    ) -> Result<Expr, ParseError> {
+        // Macro invocation.
+        if self.at_punct("!") {
+            self.bump();
+            let name = path.last().cloned().unwrap_or_default();
+            let args = self.parse_macro_args()?;
+            return Ok(Expr::Macro(name, args, line));
+        }
+        // Struct literal.
+        if self.at_open('{') && !no_struct && struct_path(&path) {
+            self.bump();
+            let mut fields = Vec::new();
+            while !self.at_close('}') {
+                if self.eat_punct("..") {
+                    let base = self.parse_expr(false)?;
+                    fields.push(("..".into(), base));
+                    break;
+                }
+                let Some(TokenKind::Ident(fname)) = self.bump() else {
+                    return Err(self.error("expected field in struct literal"));
+                };
+                let value = if self.eat_punct(":") {
+                    self.parse_expr(false)?
+                } else {
+                    Expr::Path(vec![fname.clone()], line)
+                };
+                fields.push((fname, value));
+                if !self.eat_punct(",") {
+                    break;
+                }
+            }
+            self.expect_close('}')?;
+            return Ok(Expr::StructLit(path, fields, line));
+        }
+        Ok(Expr::Path(path, line))
     }
 
     fn return_value_follows(&self) -> bool {
@@ -1964,6 +2007,61 @@ mod tests {
                 .unwrap();
         assert_eq!(file.functions.len(), 1);
         assert_eq!(file.functions[0].name, "live");
+    }
+
+    /// The callee path of `expr` if it is a call of a path.
+    fn callee_path(expr: &Expr) -> Option<&[String]> {
+        match expr {
+            Expr::Call(callee, _, _) => match callee.as_ref() {
+                Expr::Path(path, _) => Some(path),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn parses_a_qualified_trait_call() {
+        let file = parse_file("fn f<K: Trait>(x: u64) -> u64 { <K as Trait>::f(x) + 1 }").unwrap();
+        let Some(Expr::Binary("+", lhs, _, _)) = file.functions[0].body.tail.as_deref() else {
+            panic!("tail is not a sum");
+        };
+        assert_eq!(
+            callee_path(lhs),
+            Some(&["Trait".to_string(), "f".into()][..])
+        );
+    }
+
+    #[test]
+    fn parses_a_qualified_associated_type_path() {
+        let src = "fn g<V: StageVictim>() -> usize {
+            let c = <V::Key as StageKey>::Candidates::default();
+            let v = <Vec<Vec<u8>>>::new();
+            c.len() + v.len()
+        }";
+        let file = parse_file(src).unwrap();
+        let inits: Vec<_> = file.functions[0]
+            .body
+            .stmts
+            .iter()
+            .map(|stmt| match stmt {
+                Stmt::Let {
+                    init: Some(init), ..
+                } => callee_path(init).map(<[String]>::to_vec),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            inits,
+            [
+                Some(vec![
+                    "StageKey".into(),
+                    "Candidates".into(),
+                    "default".into()
+                ]),
+                Some(vec!["Vec".into(), "new".into()]),
+            ]
+        );
     }
 
     #[test]

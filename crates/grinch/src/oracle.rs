@@ -23,7 +23,7 @@
 use crate::noise::NoiseChannel;
 use crate::stage::StageVictim;
 use crate::target::TargetSpec;
-use cache_sim::{Cache, CacheConfig, Domain};
+use cache_sim::{Cache, CacheConfig, Domain, SetGroup};
 use gift_cipher::countermeasure::{
     masked_round_keys_64, FullScanGift64, PreloadGift64, WideLineGift64,
 };
@@ -373,10 +373,10 @@ pub struct VictimOracle {
     /// Bit of [`ObservedLines`] holding each S-box index's line, so a
     /// hypothesis check is one bit test.
     index_bits: [u32; 16],
-    /// Prime+Probe's attacker-owned addresses: `ways` per monitored line,
-    /// in `probe_addrs` order, each group mapping to that line's set.
-    /// Empty for Flush+Reload.
-    prime_addrs: Vec<u64>,
+    /// Prime+Probe's attacker-owned lines: one group of `ways` per
+    /// monitored line, in `probe_addrs` order, each in that line's set
+    /// class. Empty for Flush+Reload.
+    prime_groups: Vec<SetGroup>,
     /// Whether the monitored sets have been primed. Prime+Probe primes
     /// once, on its first observation; every probe then leaves the sets
     /// primed for the next one.
@@ -505,9 +505,9 @@ impl VictimOracle {
                 .bit_of(config.line_addr_of_index(index as u8))
                 .expect("every S-box entry lies on a monitored line")
         });
-        let prime_addrs = match config.strategy {
+        let prime_groups = match config.strategy {
             ProbeStrategy::FlushReload => Vec::new(),
-            ProbeStrategy::PrimeProbe => Self::build_prime_addrs(&config, &probe_addrs),
+            ProbeStrategy::PrimeProbe => Self::build_prime_groups(&config, &probe_addrs),
         };
         Self {
             cipher,
@@ -517,7 +517,7 @@ impl VictimOracle {
             probe_addrs,
             empty_lines,
             index_bits,
-            prime_addrs,
+            prime_groups,
             primed: false,
             telemetry: grinch_telemetry::Telemetry::disabled(),
             metrics: None,
@@ -565,19 +565,21 @@ impl VictimOracle {
         self.encryptions
     }
 
-    /// Attacker addresses that map to the same cache sets as the S-box
-    /// lines, `ways` of them per line, placed far above the victim's
-    /// tables.
-    fn build_prime_addrs(config: &ObservationConfig, probe_addrs: &[u64]) -> Vec<u64> {
+    /// Attacker lines that map to the same cache sets as the S-box lines,
+    /// one group of `ways` per line, placed far above the victim's tables.
+    fn build_prime_groups(config: &ObservationConfig, probe_addrs: &[u64]) -> Vec<SetGroup> {
         let cache = &config.cache;
         let stride = (cache.line_bytes * cache.num_sets) as u64;
         let attacker_base = 0x10_0000u64;
         probe_addrs
             .iter()
-            .flat_map(|&line_addr| {
+            .map(|&line_addr| {
                 let set = cache.set_of(line_addr) as u64;
-                (0..cache.ways as u64)
-                    .map(move |w| attacker_base + w * stride + set * cache.line_bytes as u64)
+                let addrs: Vec<u64> = (0..cache.ways as u64)
+                    .map(|w| attacker_base + w * stride + set * cache.line_bytes as u64)
+                    .collect();
+                SetGroup::new(cache, &addrs)
+                    .expect("lines a set stride apart are distinct and share one set class")
             })
             .collect()
     }
@@ -592,19 +594,15 @@ impl VictimOracle {
     }
 
     /// Reads every monitored set's `ways` attacker lines, in
-    /// `prime_addrs` order. A probe reads the same lines in the same
+    /// `prime_groups` order. A probe reads the same lines in the same
     /// order, so under LRU it leaves every prime line as resident as a
     /// prime does, whatever the victim did (DESIGN.md §10): no flush
     /// precedes a prime.
     fn prime(&mut self) {
-        // Field-disjoint borrows: the groups are read-only while the cache
-        // mutates, so no per-call clone of the group table is needed.
-        let Self {
-            cache, prime_addrs, ..
-        } = self;
-        for group in prime_addrs.chunks_exact(cache.config().ways) {
-            // One batched fill (and one telemetry publish) per monitored set.
-            cache.access_batch_from(group, Domain::Attacker, |_, _| {});
+        for group in &self.prime_groups {
+            // One whole-set fill (and one telemetry publish) per monitored
+            // set.
+            self.cache.access_set_from(group, Domain::Attacker);
         }
     }
 
@@ -683,16 +681,9 @@ impl VictimOracle {
                 // the victim displaced one — its set was touched. No
                 // clean-up follows: under LRU the probe leaves exactly its
                 // own lines in each set, in probe order, as a prime would.
-                let Self {
-                    cache, prime_addrs, ..
-                } = self;
-                let ways = cache.config().ways;
-                for (bit, group) in prime_addrs.chunks_exact(ways).enumerate() {
-                    let mut evicted = false;
-                    cache.access_batch_from(group, Domain::Attacker, |_, o| {
-                        evicted |= o.is_miss();
-                    });
-                    out.bits |= u64::from(evicted) << bit;
+                for (bit, group) in self.prime_groups.iter().enumerate() {
+                    let misses = self.cache.access_set_from(group, Domain::Attacker);
+                    out.bits |= u64::from(misses > 0) << bit;
                 }
             }
         }
@@ -1084,21 +1075,30 @@ mod tests {
 
     /// Prime+Probe with a flush, the reference the flush-free oracle must
     /// match: prime, run the victim (flush and re-prime at the stage
-    /// boundary), probe, then flush the attacker's ways.
+    /// boundary), probe, then flush the attacker's ways. Primes and probes
+    /// read each group with the per-access `access_batch_from`, so the
+    /// oracle's whole-set path is checked against it.
     fn observe_flush_then_prime(
         oracle: &mut VictimOracle,
         plaintext: u64,
         stage_round: usize,
     ) -> ObservedLines {
+        fn prime_per_access(oracle: &mut VictimOracle) {
+            for group in &oracle.prime_groups {
+                oracle
+                    .cache
+                    .access_batch_from(group.addrs(), Domain::Attacker, |_, _| {});
+            }
+        }
         let mut out = oracle.empty_lines;
         let rounds = (stage_round + oracle.config.probing_round).min(GIFT64_ROUNDS);
-        oracle.prime();
+        prime_per_access(oracle);
         let mut state = plaintext;
         let mut addrs = Vec::new();
         for round in 0..rounds {
             if oracle.config.flush_after_round1 && round == stage_round {
                 oracle.cache.flush_all_from(Domain::Attacker);
-                oracle.prime();
+                prime_per_access(oracle);
             }
             addrs.clear();
             let mut obs = RoundAddrRecorder { addrs: &mut addrs };
@@ -1107,13 +1107,13 @@ mod tests {
                 .cache
                 .access_batch_from(&addrs, Domain::Victim, |_, _| {});
         }
-        let VictimOracle {
-            cache, prime_addrs, ..
-        } = oracle;
-        let ways = cache.config().ways;
-        for (bit, group) in prime_addrs.chunks_exact(ways).enumerate() {
+        for (bit, group) in oracle.prime_groups.iter().enumerate() {
             let mut evicted = false;
-            cache.access_batch_from(group, Domain::Attacker, |_, o| evicted |= o.is_miss());
+            oracle
+                .cache
+                .access_batch_from(group.addrs(), Domain::Attacker, |_, o| {
+                    evicted |= o.is_miss()
+                });
             out.bits |= u64::from(evicted) << bit;
         }
         oracle.cache.flush_all_from(Domain::Attacker);

@@ -291,3 +291,69 @@ fn recovery_telemetry_jsonl_is_pinned() {
         &[(fnv1a(jsonl.as_bytes()), jsonl.len())],
     );
 }
+
+/// One Prime+Probe stage 1 under an arena defense: the defense, the
+/// stage's encryptions and candidates left, and the shared cache's hits,
+/// misses, evictions and remaps as its telemetry counted them.
+type RowCounters = (&'static str, u64, u64, [u64; 4]);
+
+#[test]
+fn prime_probe_cache_counters_are_pinned() {
+    // The four arena defenses over the paper's geometry, each a stage 1
+    // capped at 300 encryptions: the literal cache counters pin the
+    // Prime+Probe prime and probe reads, access for access. The undefended
+    // and statically remapped stages resolve; rekeying and the partition
+    // saturate the channel, so nothing is eliminated before the cap.
+    const PINS: [RowCounters; 4] = [
+        ("baseline", 140, 1, [29_376, 47_040, 46_784, 0]),
+        ("static-remap", 140, 1, [29_376, 47_040, 46_784, 0]),
+        ("rekey-64", 300, 4_294_967_296, [3_326, 160_130, 892, 2_554]),
+        (
+            "partition",
+            300,
+            4_294_967_296,
+            [9_584, 153_872, 153_728, 0],
+        ),
+    ];
+    let base = cache_sim::CacheConfig::grinch_default();
+    let remap = |epoch_accesses| {
+        base.with_mapping(cache_sim::IndexMapping::KeyedRemap {
+            key: 0x5eed,
+            epoch_accesses,
+        })
+    };
+    let defenses = [
+        ("baseline", base),
+        ("static-remap", remap(0)),
+        ("rekey-64", remap(64)),
+        (
+            "partition",
+            base.with_partition(cache_sim::WayPartition::even_split(base.ways)),
+        ),
+    ];
+    let got: Vec<RowCounters> = defenses
+        .into_iter()
+        .map(|(defense, cache)| {
+            let config = ObservationConfig {
+                cache,
+                strategy: ProbeStrategy::PrimeProbe,
+                ..ObservationConfig::ideal()
+            };
+            let tel = Telemetry::new();
+            let mut oracle = VictimOracle::new(keys()[0], config);
+            oracle.set_telemetry(tel.clone());
+            let stage = StageConfig::new().with_max_encryptions(300);
+            let mut rng = StdRng::seed_from_u64(stage.seed);
+            let result = run_stage(&mut oracle, &[], 1, &stage, &mut rng);
+            let counters = ["hits", "misses", "evictions", "remaps"]
+                .map(|c| tel.counter(&format!("cache.l1.{c}")));
+            (
+                defense,
+                result.encryptions,
+                result.candidate_count(),
+                counters,
+            )
+        })
+        .collect();
+    check("Prime+Probe cache counters", &PINS, &got);
+}
