@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use grinch::experiments::countermeasures::{measure, AblationConfig, Protection};
+use grinch_telemetry::Telemetry;
 
 fn bench_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("countermeasure_ablation");
@@ -14,21 +15,25 @@ fn bench_ablation(c: &mut Criterion) {
     };
     group.bench_function("unprotected", |b| {
         b.iter(|| {
-            let row = measure(&config, Protection::None);
+            let row = measure(&config, Protection::None, Telemetry::disabled());
             assert!(row.key_recovered);
             row
         })
     });
     group.bench_function("wide_line_sbox", |b| {
         b.iter(|| {
-            let row = measure(&config, Protection::WideLineSbox);
+            let row = measure(&config, Protection::WideLineSbox, Telemetry::disabled());
             assert!(!row.key_recovered);
             row
         })
     });
     group.bench_function("masked_schedule", |b| {
         b.iter(|| {
-            let row = measure(&config, Protection::MaskedKeySchedule);
+            let row = measure(
+                &config,
+                Protection::MaskedKeySchedule,
+                Telemetry::disabled(),
+            );
             assert!(!row.key_recovered);
             row
         })

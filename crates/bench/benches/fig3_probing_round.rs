@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grinch::experiments::probing_round::{measure_cell, Fig3Config};
+use grinch_telemetry::Telemetry;
 
 fn bench_fig3(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig3_first_round_recovery");
@@ -23,7 +24,7 @@ fn bench_fig3(c: &mut Criterion) {
                 &(probing_round, flush),
                 |b, &(round, flush)| {
                     b.iter(|| {
-                        let cell = measure_cell(&config, round, flush);
+                        let cell = measure_cell(&config, round, flush, Telemetry::disabled());
                         assert!(cell.encryptions() > 0);
                         cell
                     })

@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grinch::experiments::line_size::{measure_cell, Table1Config};
+use grinch_telemetry::Telemetry;
 
 fn bench_table1(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_line_size");
@@ -17,13 +18,13 @@ fn bench_table1(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{words}w_round1")),
             &words,
             |b, &words| {
-                b.iter(|| measure_cell(&config, words, 1));
+                b.iter(|| measure_cell(&config, words, 1, Telemetry::disabled()));
             },
         );
     }
     // One deeper-probe point to exhibit the row-versus-column growth.
     group.bench_function("2w_round2", |b| {
-        b.iter(|| measure_cell(&config, 2, 2));
+        b.iter(|| measure_cell(&config, 2, 2, Telemetry::disabled()));
     });
     group.finish();
 }

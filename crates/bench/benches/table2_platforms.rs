@@ -3,6 +3,7 @@
 //! at each clock frequency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use grinch_telemetry::Telemetry;
 use soc_sim::platform::PlatformConfig;
 use soc_sim::scenario::{run_mpsoc, run_single_soc};
 
@@ -16,7 +17,7 @@ fn bench_table2(c: &mut Criterion) {
             |b, &f| {
                 let cfg = PlatformConfig::single_soc(f);
                 b.iter(|| {
-                    let report = run_single_soc(&cfg);
+                    let report = run_single_soc(&cfg, Telemetry::disabled());
                     assert!(report.first_probe_round().is_some());
                     report
                 });
@@ -28,7 +29,7 @@ fn bench_table2(c: &mut Criterion) {
             |b, &f| {
                 let cfg = PlatformConfig::mpsoc(f);
                 b.iter(|| {
-                    let report = run_mpsoc(&cfg);
+                    let report = run_mpsoc(&cfg, Telemetry::disabled());
                     assert_eq!(report.first_probe_round(), Some(1));
                     report
                 });

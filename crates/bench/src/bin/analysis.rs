@@ -10,7 +10,8 @@ use gift_cipher::Key;
 use grinch::analysis::expected_stage_encryptions;
 use grinch::oracle::{ObservationConfig, VictimOracle};
 use grinch::stage::{run_stage, StageConfig};
-use grinch_bench::{bench_telemetry_for, emit_telemetry_report, group_thousands};
+use grinch_bench::group_thousands;
+use grinch_obs::{bench_telemetry_for, emit_telemetry_report};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -78,5 +79,5 @@ fn main() {
     }
     println!("\nThe geometric absence model explains the exponential growth in the");
     println!("probing round; measured/model ratios near 1 validate the simulator.");
-    emit_telemetry_report(&telemetry, "analysis");
+    emit_telemetry_report(&telemetry, "analysis", &[]);
 }

@@ -5,8 +5,8 @@
 //! cargo run -p grinch-bench --release --bin countermeasures [cap_per_stage]
 //! ```
 
-use grinch::experiments::countermeasures::{run_traced, AblationConfig};
-use grinch_bench::{bench_telemetry_for, emit_telemetry_report};
+use grinch::experiments::countermeasures::{run, AblationConfig};
+use grinch_obs::{bench_telemetry_for, emit_telemetry_report};
 
 fn main() {
     let cap: u64 = std::env::args()
@@ -24,7 +24,7 @@ fn main() {
         "{:>22} {:>14} {:>14}",
         "protection", "key recovered", "encryptions"
     );
-    for row in run_traced(&config, telemetry.clone()) {
+    for row in run(&config, telemetry.clone()) {
         println!(
             "{:>22} {:>14} {:>14}",
             row.protection.to_string(),
@@ -33,5 +33,5 @@ fn main() {
         );
     }
     println!("\nExpected: only the unprotected implementation leaks the key.");
-    emit_telemetry_report(&telemetry, "countermeasures");
+    emit_telemetry_report(&telemetry, "countermeasures", &[]);
 }

@@ -6,8 +6,9 @@
 //! cargo run -p grinch-bench --release --bin fig3 [max_probing_round] [cap]
 //! ```
 
-use grinch::experiments::probing_round::{measure_cell_traced, Fig3Config};
-use grinch_bench::{bench_telemetry_for, emit_telemetry_report_with_wall, format_cell, WallTimer};
+use grinch::experiments::probing_round::{measure_cell, Fig3Config};
+use grinch_bench::{format_cell, WallTimer};
+use grinch_obs::{bench_telemetry_for, emit_telemetry_report};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -31,8 +32,8 @@ fn main() {
     );
     let timer = WallTimer::start("cells");
     for round in 1..=config.max_probing_round {
-        let with = measure_cell_traced(&config, round, true, telemetry.clone());
-        let without = measure_cell_traced(&config, round, false, telemetry.clone());
+        let with = measure_cell(&config, round, true, telemetry.clone());
+        let without = measure_cell(&config, round, false, telemetry.clone());
         println!(
             "{:>14} {:>18} {:>18}",
             round,
@@ -43,5 +44,5 @@ fn main() {
     let wall = [timer.stop(2.0 * config.max_probing_round as f64)];
     println!("\nExpected shape (paper): exponential growth with probing round;");
     println!("the flush series sits strictly below the no-flush series.");
-    emit_telemetry_report_with_wall(&telemetry, "fig3", &wall);
+    emit_telemetry_report(&telemetry, "fig3", &wall);
 }

@@ -6,8 +6,9 @@
 //! ```
 
 use gift_cipher::Key;
-use grinch::experiments::hierarchy::run_traced;
-use grinch_bench::{bench_telemetry_for, emit_telemetry_report, group_thousands};
+use grinch::experiments::hierarchy::run;
+use grinch_bench::group_thousands;
+use grinch_obs::{bench_telemetry_for, emit_telemetry_report};
 
 fn main() {
     let cap: u64 = std::env::args()
@@ -22,7 +23,7 @@ fn main() {
         "{:>26} {:>10} {:>14}",
         "hierarchy", "recovered", "encryptions"
     );
-    for row in run_traced(key, cap, telemetry.clone()) {
+    for row in run(key, cap, telemetry.clone()) {
         println!(
             "{:>26} {:>10} {:>14}",
             row.setting.to_string(),
@@ -33,5 +34,5 @@ fn main() {
     println!("\nA coherent flush keeps the channel open at L2-line granularity");
     println!("(wide-line cost); an L2-only flush lets the victim's private L1");
     println!("hide repeats, and the hard-elimination channel collapses.");
-    emit_telemetry_report(&telemetry, "hierarchy");
+    emit_telemetry_report(&telemetry, "hierarchy", &[]);
 }

@@ -6,8 +6,9 @@
 //! cargo run -p grinch-bench --release --bin noise [cap]
 //! ```
 
-use grinch::experiments::noise::{measure_traced, NoiseConfig, NOISE_LEVELS};
-use grinch_bench::{bench_telemetry_for, emit_telemetry_report, group_thousands};
+use grinch::experiments::noise::{measure, NoiseConfig, NOISE_LEVELS};
+use grinch_bench::group_thousands;
+use grinch_obs::{bench_telemetry_for, emit_telemetry_report};
 
 fn main() {
     let cap: u64 = std::env::args()
@@ -26,7 +27,7 @@ fn main() {
         "evict prob", "hard elimination", "robust recovery", "encryptions"
     );
     for p in NOISE_LEVELS {
-        let row = measure_traced(&config, p, telemetry.clone());
+        let row = measure(&config, p, telemetry.clone());
         println!(
             "{:>12.2} {:>18} {:>18} {:>16}",
             row.evict_probability,
@@ -45,5 +46,5 @@ fn main() {
     }
     println!("\nHard intersection breaks as soon as true accesses can be evicted;");
     println!("absence counting survives at a growing encryption cost.");
-    emit_telemetry_report(&telemetry, "noise");
+    emit_telemetry_report(&telemetry, "noise", &[]);
 }

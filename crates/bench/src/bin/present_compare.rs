@@ -5,8 +5,9 @@
 //! cargo run -p grinch-bench --release --bin present_compare
 //! ```
 
-use grinch::experiments::present_compare::run_traced;
-use grinch_bench::{bench_telemetry_for, emit_telemetry_report, group_thousands};
+use grinch::experiments::present_compare::run;
+use grinch_bench::group_thousands;
+use grinch_obs::{bench_telemetry_for, emit_telemetry_report};
 
 fn main() {
     let telemetry = bench_telemetry_for("present_compare");
@@ -15,7 +16,7 @@ fn main() {
         "{:>12} {:>10} {:>18} {:>14} {:>12}",
         "cipher", "key bits", "first leaky round", "encryptions", "bits/enc"
     );
-    for row in run_traced(0xc0fe, telemetry.clone()) {
+    for row in run(0xc0fe, telemetry.clone()) {
         println!(
             "{:>12} {:>10} {:>18} {:>14} {:>12.3}",
             row.cipher,
@@ -29,5 +30,5 @@ fn main() {
     println!("already leaks four key bits per segment; GIFT's interleaved 2-bit");
     println!("AddRoundKey after the S-box delays and halves the leakage — the");
     println!("structural reason GRINCH needs crafted inputs and four stages.");
-    emit_telemetry_report(&telemetry, "present_compare");
+    emit_telemetry_report(&telemetry, "present_compare", &[]);
 }

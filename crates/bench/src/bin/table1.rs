@@ -5,8 +5,9 @@
 //! cargo run -p grinch-bench --release --bin table1 [cap]
 //! ```
 
-use grinch::experiments::line_size::{measure_cell_traced, Table1Config};
-use grinch_bench::{bench_telemetry_for, emit_telemetry_report_with_wall, format_cell, WallTimer};
+use grinch::experiments::line_size::{measure_cell, Table1Config};
+use grinch_bench::{format_cell, WallTimer};
+use grinch_obs::{bench_telemetry_for, emit_telemetry_report};
 
 fn main() {
     let cap: u64 = std::env::args()
@@ -34,7 +35,7 @@ fn main() {
             format!("{words} word{}", if words == 1 { "" } else { "s" })
         );
         for &round in &config.probing_rounds {
-            let cell = measure_cell_traced(&config, words, round, telemetry.clone());
+            let cell = measure_cell(&config, words, round, telemetry.clone());
             cells += 1;
             print!(" {:>12}", format_cell(&cell));
         }
@@ -43,5 +44,5 @@ fn main() {
     let wall = [timer.stop(cells as f64)];
     println!("\nExpected shape (paper): effort grows sharply with line size and");
     println!("probing round; the widest-line / latest-probe corner drops out.");
-    emit_telemetry_report_with_wall(&telemetry, "table1", &wall);
+    emit_telemetry_report(&telemetry, "table1", &wall);
 }

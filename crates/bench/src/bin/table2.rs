@@ -6,8 +6,9 @@
 //! cargo run -p grinch-bench --release --bin table2
 //! ```
 
-use grinch::experiments::practical::{measure_cell_traced, TABLE2_FREQUENCIES};
-use grinch_bench::{bench_telemetry_for, emit_telemetry_report_with_wall, WallTimer};
+use grinch::experiments::practical::{measure_cell, TABLE2_FREQUENCIES};
+use grinch_bench::WallTimer;
+use grinch_obs::{bench_telemetry_for, emit_telemetry_report};
 use soc_sim::platform::PlatformKind;
 
 fn main() {
@@ -26,7 +27,7 @@ fn main() {
     ] {
         print!("{label:>24}");
         for freq in TABLE2_FREQUENCIES {
-            let cell = measure_cell_traced(platform, freq, telemetry.clone());
+            let cell = measure_cell(platform, freq, telemetry.clone());
             cells += 1;
             match cell.probed_round {
                 Some(r) => print!(" {r:>10}"),
@@ -56,5 +57,5 @@ fn main() {
     }
     println!();
     let wall = [timer.stop(cells as f64)];
-    emit_telemetry_report_with_wall(&telemetry, "table2", &wall);
+    emit_telemetry_report(&telemetry, "table2", &wall);
 }

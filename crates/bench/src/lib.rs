@@ -1,105 +1,14 @@
 //! # grinch-bench
 //!
-//! Experiment harness for the GRINCH reproduction: binaries that regenerate
-//! each table and figure of the paper (`fig3`, `table1`, `table2`,
-//! `countermeasures`) plus shared formatting helpers, and Criterion benches
-//! timing the attack primitives.
+//! Experiment harness for the GRINCH reproduction: eight binaries that
+//! regenerate each table and figure of the paper and its extensions —
+//! `fig3`, `table1`, `table2`, `countermeasures`, `analysis`, `hierarchy`,
+//! `noise` and `present_compare` — plus shared formatting helpers, and
+//! Criterion benches timing the attack primitives. Each binary records into
+//! [`grinch_obs::bench_telemetry_for`] and writes its run artifacts with
+//! [`grinch_obs::emit_telemetry_report`].
 
 use grinch::experiments::CellResult;
-
-/// Creates the telemetry handle the bench binaries record into. Disabled
-/// when the `GRINCH_TELEMETRY` environment variable is `0` or `off`
-/// ([`grinch_telemetry::enabled_from_env`] is the single parser of that
-/// convention), in which case every instrumentation point collapses to one
-/// branch.
-pub fn bench_telemetry() -> grinch_telemetry::Telemetry {
-    grinch_telemetry::Telemetry::from_env()
-}
-
-/// [`bench_telemetry`] plus the crash flight recorder: arms a ring of the
-/// last [`grinch_telemetry::DEFAULT_FLIGHT_CAPACITY`] telemetry events and
-/// registers a panic-time dump to `<results>/FLIGHT_<name>.json`, so a
-/// bench that dies mid-run leaves `grinch-report postmortem` something to
-/// read. A disabled handle stays a plain no-op.
-pub fn bench_telemetry_for(name: &str) -> grinch_telemetry::Telemetry {
-    let telemetry = bench_telemetry();
-    if telemetry.is_enabled() {
-        telemetry.enable_flight_recorder(grinch_telemetry::DEFAULT_FLIGHT_CAPACITY);
-        let path =
-            grinch_obs::paths::results_dir().join(format!("FLIGHT_{}.json", name_sanitized(name)));
-        telemetry.install_flight_dump_on_panic(&name_sanitized(name), path);
-    }
-    telemetry
-}
-
-/// Writes `telemetry`'s snapshot to `<results>/<name>.telemetry.jsonl` —
-/// one metric or span per line — plus the distilled `BENCH_<name>.json`
-/// report the regression gate consumes, and prints where both went.
-///
-/// The results directory comes from [`grinch_obs::paths::results_dir`]
-/// (workspace-rooted, `GRINCH_RESULTS_DIR` to override), so every bench
-/// binary lands its artifacts in the same place no matter which directory
-/// it was launched from. A disabled handle is a no-op; I/O errors are
-/// reported to stderr, not fatal, so a read-only checkout still prints its
-/// tables.
-pub fn emit_telemetry_report(telemetry: &grinch_telemetry::Telemetry, name: &str) {
-    emit_telemetry_report_with_wall(telemetry, name, &[]);
-}
-
-/// [`emit_telemetry_report`] plus wall-clock sections: the simulated
-/// metrics still come from the telemetry snapshot, while `wall` carries the
-/// real elapsed time (and derived throughput) the binary measured around
-/// its main loop. Wall sections ride in the report's additive `wall` block
-/// — recorded for the perf trajectory, never regression-gated.
-pub fn emit_telemetry_report_with_wall(
-    telemetry: &grinch_telemetry::Telemetry,
-    name: &str,
-    wall: &[grinch_obs::WallSection],
-) {
-    if !telemetry.is_enabled() {
-        return;
-    }
-    let dir = grinch_obs::paths::results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("telemetry: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.telemetry.jsonl"));
-    match telemetry.write_jsonl(&path) {
-        Ok(()) => println!("\ntelemetry trace: {}", path.display()),
-        Err(e) => {
-            eprintln!("telemetry: write to {} failed: {e}", path.display());
-            return;
-        }
-    }
-    let snapshot = telemetry.snapshot();
-    let mut report = grinch_obs::BenchReport::from_snapshot(&name_sanitized(name), &snapshot);
-    report.wall = wall.to_vec();
-    let report_path = dir.join(format!("BENCH_{}.json", name_sanitized(name)));
-    match std::fs::write(&report_path, report.to_json()) {
-        Ok(()) => println!("bench report:    {}", report_path.display()),
-        Err(e) => eprintln!("telemetry: write to {} failed: {e}", report_path.display()),
-    }
-
-    // Traced runs also land a collapsed-stack span profile next to the
-    // report, ready for `grinch-report profile` or any flamegraph tool.
-    let profile = (!snapshot.spans.is_empty()).then(|| {
-        let profile = grinch_obs::SpanProfile::from_snapshot(&snapshot);
-        let folded_path = dir.join(format!("PROFILE_{}.folded", name_sanitized(name)));
-        match std::fs::write(&folded_path, profile.folded()) {
-            Ok(()) => println!("span profile:    {}", folded_path.display()),
-            Err(e) => eprintln!("telemetry: write to {} failed: {e}", folded_path.display()),
-        }
-        profile
-    });
-
-    // Every report also appends one grinch-run/v1 record to the run
-    // ledger — the longitudinal history behind `grinch-report regress` /
-    // `trend`. Opt out with GRINCH_LEDGER=0.
-    if let Some(path) = grinch_obs::history::append_run(&report, profile.as_ref(), None) {
-        println!("run ledger:      {}", path.display());
-    }
-}
 
 /// Times one section of a bench binary for the report's wall block.
 ///
@@ -107,7 +16,7 @@ pub fn emit_telemetry_report_with_wall(
 /// let timer = WallTimer::start("cells");
 /// // ... run the experiment grid ...
 /// let wall = [timer.stop(cells_done as f64)];
-/// emit_telemetry_report_with_wall(&telemetry, "fig3", &wall);
+/// grinch_obs::emit_telemetry_report(&telemetry, "fig3", &wall);
 /// ```
 pub struct WallTimer {
     name: &'static str,
@@ -128,19 +37,6 @@ impl WallTimer {
     pub fn stop(self, units: f64) -> grinch_obs::WallSection {
         grinch_obs::WallSection::new(self.name, self.started.elapsed().as_nanos() as u64, units)
     }
-}
-
-/// Bench names come from the binaries' own constants; keep them path-safe.
-fn name_sanitized(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 /// Formats an encryption-count cell the way the paper prints it: plain
@@ -178,19 +74,6 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_names_stay_path_safe() {
-        assert_eq!(name_sanitized("table2"), "table2");
-        assert_eq!(name_sanitized("present_compare"), "present_compare");
-        assert_eq!(name_sanitized("weird/..name"), "weird___name");
-    }
-
-    #[test]
-    fn disabled_telemetry_emits_nothing() {
-        // Must not create a results directory or crash.
-        emit_telemetry_report(&grinch_telemetry::Telemetry::disabled(), "unit-noop");
-    }
 
     #[test]
     fn thousands_grouping() {

@@ -99,14 +99,10 @@ fn observation_for(protection: Protection) -> ObservationConfig {
     }
 }
 
-/// Evaluates one protection configuration.
-pub fn measure(config: &AblationConfig, protection: Protection) -> AblationRow {
-    measure_traced(config, protection, grinch_telemetry::Telemetry::disabled())
-}
-
-/// Like [`measure`], but wraps the row in an `experiment.ablation.cell`
-/// span and publishes the attack's metrics into `telemetry`.
-pub fn measure_traced(
+/// Evaluates one protection configuration, wrapped in an
+/// `experiment.ablation.cell` span with the attack's metrics published
+/// into `telemetry`.
+pub fn measure(
     config: &AblationConfig,
     protection: Protection,
     telemetry: grinch_telemetry::Telemetry,
@@ -131,17 +127,9 @@ pub fn measure_traced(
     }
 }
 
-/// Runs the full ablation.
-pub fn run(config: &AblationConfig) -> Vec<AblationRow> {
-    run_traced(config, grinch_telemetry::Telemetry::disabled())
-}
-
-/// Like [`run`], but nests every row's span under an `experiment.ablation`
-/// root span in `telemetry`.
-pub fn run_traced(
-    config: &AblationConfig,
-    telemetry: grinch_telemetry::Telemetry,
-) -> Vec<AblationRow> {
+/// Runs the full ablation, every row's span nested under an
+/// `experiment.ablation` root span.
+pub fn run(config: &AblationConfig, telemetry: grinch_telemetry::Telemetry) -> Vec<AblationRow> {
     let _span = grinch_telemetry::span!(telemetry, "experiment.ablation");
     [
         Protection::None,
@@ -152,13 +140,14 @@ pub fn run_traced(
         Protection::Preload,
     ]
     .into_iter()
-    .map(|p| measure_traced(config, p, telemetry.clone()))
+    .map(|p| measure(config, p, telemetry.clone()))
     .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grinch_telemetry::Telemetry;
 
     #[test]
     fn unprotected_recovers_but_protected_do_not() {
@@ -166,11 +155,11 @@ mod tests {
             max_encryptions_per_stage: 3_000,
             ..AblationConfig::default()
         };
-        let baseline = measure(&cfg, Protection::None);
+        let baseline = measure(&cfg, Protection::None, Telemetry::disabled());
         assert!(baseline.key_recovered);
-        let wide = measure(&cfg, Protection::WideLineSbox);
+        let wide = measure(&cfg, Protection::WideLineSbox, Telemetry::disabled());
         assert!(!wide.key_recovered);
-        let masked = measure(&cfg, Protection::MaskedKeySchedule);
+        let masked = measure(&cfg, Protection::MaskedKeySchedule, Telemetry::disabled());
         assert!(!masked.key_recovered);
     }
 
@@ -180,7 +169,7 @@ mod tests {
             max_encryptions_per_stage: 500,
             ..AblationConfig::default()
         };
-        let rows = run(&cfg);
+        let rows = run(&cfg, Telemetry::disabled());
         assert_eq!(rows.len(), 6);
         assert!(rows.iter().all(|r| r.encryptions > 0));
     }
@@ -191,9 +180,9 @@ mod tests {
             max_encryptions_per_stage: 2_000,
             ..AblationConfig::default()
         };
-        let scan = measure(&cfg, Protection::FullScan);
+        let scan = measure(&cfg, Protection::FullScan, Telemetry::disabled());
         assert!(!scan.key_recovered, "constant address stream leaks nothing");
-        let preload = measure(&cfg, Protection::Preload);
+        let preload = measure(&cfg, Protection::Preload, Telemetry::disabled());
         assert!(
             !preload.key_recovered,
             "always-resident lines carry no absence information"

@@ -170,14 +170,10 @@ impl StageVictim for TwoLevelVictim {
     }
 }
 
-/// Runs a stage-1 recovery under the given hierarchy setting.
-pub fn measure(setting: HierarchySetting, key: Key, max_encryptions: u64) -> HierarchyRow {
-    measure_traced(setting, key, max_encryptions, Telemetry::disabled())
-}
-
-/// Like [`measure`], but wraps the row in an `experiment.hierarchy.cell`
-/// span and publishes the cache/hierarchy metrics into `telemetry`.
-pub fn measure_traced(
+/// Runs a stage-1 recovery under the given hierarchy setting, wrapped in
+/// an `experiment.hierarchy.cell` span with the cache/hierarchy metrics
+/// published into `telemetry`.
+pub fn measure(
     setting: HierarchySetting,
     key: Key,
     max_encryptions: u64,
@@ -211,14 +207,9 @@ pub fn measure_traced(
     }
 }
 
-/// Runs all three settings.
-pub fn run(key: Key, max_encryptions: u64) -> Vec<HierarchyRow> {
-    run_traced(key, max_encryptions, Telemetry::disabled())
-}
-
-/// Like [`run`], but nests every setting's span under an
-/// `experiment.hierarchy` root span in `telemetry`.
-pub fn run_traced(key: Key, max_encryptions: u64, telemetry: Telemetry) -> Vec<HierarchyRow> {
+/// Runs all three settings, every setting's span nested under an
+/// `experiment.hierarchy` root span.
+pub fn run(key: Key, max_encryptions: u64, telemetry: Telemetry) -> Vec<HierarchyRow> {
     let _span = grinch_telemetry::span!(telemetry, "experiment.hierarchy");
     [
         HierarchySetting::FlatSharedL1,
@@ -226,7 +217,7 @@ pub fn run_traced(key: Key, max_encryptions: u64, telemetry: Telemetry) -> Vec<H
         HierarchySetting::TwoLevelL2OnlyFlush,
     ]
     .into_iter()
-    .map(|s| measure_traced(s, key, max_encryptions, telemetry.clone()))
+    .map(|s| measure(s, key, max_encryptions, telemetry.clone()))
     .collect()
 }
 
@@ -238,9 +229,13 @@ mod tests {
         Key::from_u128(0x0f1e_2d3c_4b5a_6978_8796_a5b4_c3d2_e1f0)
     }
 
+    fn measure_row(setting: HierarchySetting, max_encryptions: u64) -> HierarchyRow {
+        measure(setting, key(), max_encryptions, Telemetry::disabled())
+    }
+
     #[test]
     fn flat_l1_recovers() {
-        let row = measure(HierarchySetting::FlatSharedL1, key(), 100_000);
+        let row = measure_row(HierarchySetting::FlatSharedL1, 100_000);
         assert!(row.recovered);
     }
 
@@ -249,8 +244,8 @@ mod tests {
         // The coherent-flush recovery rides on rare all-miss encryptions,
         // so its cost is RNG-stream dependent; the cap is sized with head
         // room (observed ~620k with the vendored xoshiro stream).
-        let flat = measure(HierarchySetting::FlatSharedL1, key(), 1_000_000);
-        let two = measure(HierarchySetting::TwoLevelCoherentFlush, key(), 1_000_000);
+        let flat = measure_row(HierarchySetting::FlatSharedL1, 1_000_000);
+        let two = measure_row(HierarchySetting::TwoLevelCoherentFlush, 1_000_000);
         assert!(two.recovered, "coherent flush keeps the channel open");
         assert!(
             two.encryptions > flat.encryptions,
@@ -262,7 +257,7 @@ mod tests {
 
     #[test]
     fn l2_only_flush_breaks_the_channel() {
-        let row = measure(HierarchySetting::TwoLevelL2OnlyFlush, key(), 50_000);
+        let row = measure_row(HierarchySetting::TwoLevelL2OnlyFlush, 50_000);
         assert!(!row.recovered, "private L1 hides repeats from the L2 probe");
     }
 }

@@ -46,25 +46,12 @@ impl Default for Table1Config {
     }
 }
 
-/// Measures one Table I cell: stage-1 recovery with the given geometry.
-/// Flush is enabled, matching the paper's Table I setup (its round-1 column
-/// reproduces Fig. 3's "with flush" value).
+/// Measures one Table I cell: stage-1 recovery with the given geometry,
+/// wrapped in an `experiment.table1.cell` span with the oracle's metrics
+/// published into `telemetry`. Flush is enabled, matching the paper's
+/// Table I setup (its round-1 column reproduces Fig. 3's "with flush"
+/// value).
 pub fn measure_cell(
-    config: &Table1Config,
-    words_per_line: usize,
-    probing_round: usize,
-) -> CellResult {
-    measure_cell_traced(
-        config,
-        words_per_line,
-        probing_round,
-        grinch_telemetry::Telemetry::disabled(),
-    )
-}
-
-/// Like [`measure_cell`], but wraps the cell in an `experiment.table1.cell`
-/// span and publishes the oracle's metrics into `telemetry`.
-pub fn measure_cell_traced(
     config: &Table1Config,
     words_per_line: usize,
     probing_round: usize,
@@ -94,17 +81,8 @@ pub fn measure_cell_traced(
 }
 
 /// Runs the full Table I sweep in row-major order (line size, then probing
-/// round).
-pub fn run(config: &Table1Config) -> Vec<Table1Cell> {
-    run_traced(config, grinch_telemetry::Telemetry::disabled())
-}
-
-/// Like [`run`], but nests every cell's span under an `experiment.table1`
-/// root span in `telemetry`.
-pub fn run_traced(
-    config: &Table1Config,
-    telemetry: grinch_telemetry::Telemetry,
-) -> Vec<Table1Cell> {
+/// round), every cell's span nested under an `experiment.table1` root span.
+pub fn run(config: &Table1Config, telemetry: grinch_telemetry::Telemetry) -> Vec<Table1Cell> {
     let _span = grinch_telemetry::span!(telemetry, "experiment.table1");
     let mut cells = Vec::new();
     for &words in &config.line_sizes {
@@ -112,7 +90,7 @@ pub fn run_traced(
             cells.push(Table1Cell {
                 words_per_line: words,
                 probing_round: round,
-                result: measure_cell_traced(config, words, round, telemetry.clone()),
+                result: measure_cell(config, words, round, telemetry.clone()),
             });
         }
     }
@@ -122,6 +100,7 @@ pub fn run_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grinch_telemetry::Telemetry;
 
     #[test]
     fn wider_lines_cost_more_encryptions() {
@@ -129,8 +108,8 @@ mod tests {
             max_encryptions: 60_000,
             ..Table1Config::default()
         };
-        let w1 = measure_cell(&cfg, 1, 1);
-        let w2 = measure_cell(&cfg, 2, 1);
+        let w1 = measure_cell(&cfg, 1, 1, Telemetry::disabled());
+        let w2 = measure_cell(&cfg, 2, 1, Telemetry::disabled());
         assert!(w1.is_recovered());
         assert!(w2.is_recovered(), "2-word lines should still resolve");
         assert!(
@@ -149,7 +128,7 @@ mod tests {
             max_encryptions: 2_000,
             ..Table1Config::default()
         };
-        let cell = measure_cell(&cfg, 8, 5);
+        let cell = measure_cell(&cfg, 8, 5, Telemetry::disabled());
         assert!(!cell.is_recovered());
         assert_eq!(cell.to_string(), format!(">{}", cell.encryptions()));
     }
@@ -162,7 +141,7 @@ mod tests {
             max_encryptions: 60_000,
             ..Table1Config::default()
         };
-        let cells = run(&cfg);
+        let cells = run(&cfg, Telemetry::disabled());
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].words_per_line, 1);
         assert_eq!(cells[1].words_per_line, 2);

@@ -6,9 +6,16 @@
 //! | Table I — encryptions vs cache line size × probing round | [`line_size::run`] |
 //! | Table II — first probe-able round vs platform × clock | [`practical::run`] |
 //! | §IV-C countermeasures (ablation) | [`countermeasures::run`] |
+//! | Memory hierarchy (the paper's future work) — flat L1 vs private L1 + shared L2 | [`hierarchy::run`] |
+//! | §IV-B.1 noise remark — effort and reliability vs probe noise | [`noise::run`] |
+//! | §II GIFT vs PRESENT — key bits leaked per encryption | [`present_compare::run`] |
 //!
 //! Each driver returns plain data rows so the `grinch-bench` binaries can
 //! print them in the paper's format and the Criterion benches can time them.
+//! Every `run`, and every per-cell `measure`/`measure_cell` beside it, takes
+//! a [`grinch_telemetry::Telemetry`] as its last argument: it wraps its work
+//! in `experiment.*` spans and publishes the oracle's metrics there.
+//! `Telemetry::disabled()` records nothing and leaves the rows unchanged.
 
 pub mod countermeasures;
 pub mod hierarchy;
@@ -46,6 +53,74 @@ impl core::fmt::Display for CellResult {
         match self {
             Self::Recovered(n) => write!(f, "{n}"),
             Self::DropOut(cap) => write!(f, ">{cap}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use grinch_telemetry::Telemetry;
+
+    /// One experiment on a reduced config, its rows rendered with `Debug`.
+    type Experiment = fn(Telemetry) -> String;
+
+    #[test]
+    fn telemetry_leaves_every_experiments_rows_unchanged() {
+        let experiments: [(&str, Experiment); 7] = [
+            ("probing_round", |t| {
+                let config = probing_round::Fig3Config {
+                    max_probing_round: 2,
+                    max_encryptions: 20_000,
+                    ..Default::default()
+                };
+                format!("{:?}", probing_round::run(&config, t))
+            }),
+            ("line_size", |t| {
+                let config = line_size::Table1Config {
+                    line_sizes: vec![1, 2],
+                    probing_rounds: vec![1],
+                    max_encryptions: 60_000,
+                    ..Default::default()
+                };
+                format!("{:?}", line_size::run(&config, t))
+            }),
+            ("practical", |t| format!("{:?}", practical::run(t))),
+            ("countermeasures", |t| {
+                let config = countermeasures::AblationConfig {
+                    max_encryptions_per_stage: 500,
+                    ..Default::default()
+                };
+                format!("{:?}", countermeasures::run(&config, t))
+            }),
+            ("hierarchy", |t| {
+                let key = gift_cipher::Key::from_u128(0x0f1e_2d3c_4b5a_6978_8796_a5b4_c3d2_e1f0);
+                format!("{:?}", hierarchy::run(key, 20_000, t))
+            }),
+            ("noise", |t| {
+                let config = noise::NoiseConfig {
+                    max_encryptions: 50_000,
+                    ..Default::default()
+                };
+                format!("{:?}", noise::run(&config, t))
+            }),
+            ("present_compare", |t| {
+                format!("{:?}", present_compare::run(42, t))
+            }),
+        ];
+        for (name, experiment) in experiments {
+            let telemetry = Telemetry::new();
+            let traced = experiment(telemetry.clone());
+            assert_eq!(traced, experiment(Telemetry::disabled()), "{name}");
+            let snapshot = telemetry.snapshot();
+            assert!(
+                snapshot
+                    .spans
+                    .iter()
+                    .any(|span| span.parent.is_none() && span.name.starts_with("experiment.")),
+                "{name} opens an experiment root span"
+            );
+            assert!(!snapshot.counters.is_empty(), "{name} publishes counters");
         }
     }
 }

@@ -73,18 +73,9 @@ fn hard_elimination_correct(config: &NoiseConfig, p: f64) -> bool {
     set.resolved() == Some(truth_bits)
 }
 
-/// Measures one noise level.
-pub fn measure(config: &NoiseConfig, evict_probability: f64) -> NoiseRow {
-    measure_traced(
-        config,
-        evict_probability,
-        grinch_telemetry::Telemetry::disabled(),
-    )
-}
-
-/// Like [`measure`], but wraps the row in an `experiment.noise.cell` span
-/// and publishes the robust recovery's oracle metrics into `telemetry`.
-pub fn measure_traced(
+/// Measures one noise level, wrapped in an `experiment.noise.cell` span
+/// with the robust recovery's oracle metrics published into `telemetry`.
+pub fn measure(
     config: &NoiseConfig,
     evict_probability: f64,
     telemetry: grinch_telemetry::Telemetry,
@@ -119,35 +110,31 @@ pub fn measure_traced(
 /// The default sweep of eviction probabilities.
 pub const NOISE_LEVELS: [f64; 5] = [0.0, 0.02, 0.05, 0.10, 0.20];
 
-/// Runs the full noise sweep.
-pub fn run(config: &NoiseConfig) -> Vec<NoiseRow> {
-    run_traced(config, grinch_telemetry::Telemetry::disabled())
-}
-
-/// Like [`run`], but nests every level's span under an `experiment.noise`
-/// root span in `telemetry`.
-pub fn run_traced(config: &NoiseConfig, telemetry: grinch_telemetry::Telemetry) -> Vec<NoiseRow> {
+/// Runs the full noise sweep, every level's span nested under an
+/// `experiment.noise` root span.
+pub fn run(config: &NoiseConfig, telemetry: grinch_telemetry::Telemetry) -> Vec<NoiseRow> {
     let _span = grinch_telemetry::span!(telemetry, "experiment.noise");
     NOISE_LEVELS
         .iter()
-        .map(|&p| measure_traced(config, p, telemetry.clone()))
+        .map(|&p| measure(config, p, telemetry.clone()))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grinch_telemetry::Telemetry;
 
     #[test]
     fn clean_channel_both_strategies_work() {
-        let row = measure(&NoiseConfig::default(), 0.0);
+        let row = measure(&NoiseConfig::default(), 0.0, Telemetry::disabled());
         assert!(row.hard_elimination_correct);
         assert!(row.robust_recovered);
     }
 
     #[test]
     fn noisy_channel_robust_survives() {
-        let row = measure(&NoiseConfig::default(), 0.10);
+        let row = measure(&NoiseConfig::default(), 0.10, Telemetry::disabled());
         assert!(
             row.robust_recovered,
             "robust recovery must survive 10% noise"
@@ -157,8 +144,8 @@ mod tests {
     #[test]
     fn robust_effort_grows_with_noise() {
         let cfg = NoiseConfig::default();
-        let clean = measure(&cfg, 0.0);
-        let noisy = measure(&cfg, 0.10);
+        let clean = measure(&cfg, 0.0, Telemetry::disabled());
+        let noisy = measure(&cfg, 0.10, Telemetry::disabled());
         assert!(
             noisy.robust_encryptions > clean.robust_encryptions,
             "noisy ({}) should cost more than clean ({})",

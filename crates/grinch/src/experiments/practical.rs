@@ -7,7 +7,7 @@
 //! attacker probes continuously from its own tile over the NoC.
 
 use soc_sim::platform::{PlatformConfig, PlatformKind};
-use soc_sim::scenario::{run_mpsoc, run_mpsoc_traced, run_single_soc, run_single_soc_traced};
+use soc_sim::scenario::{run_mpsoc, run_single_soc};
 
 /// One Table II cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,23 +24,10 @@ pub struct Table2Cell {
 /// The frequencies Table II sweeps.
 pub const TABLE2_FREQUENCIES: [u64; 3] = [10_000_000, 25_000_000, 50_000_000];
 
-/// Measures one Table II cell by running the platform co-simulation.
-pub fn measure_cell(platform: PlatformKind, freq_hz: u64) -> Table2Cell {
-    let report = match platform {
-        PlatformKind::SingleSoc => run_single_soc(&PlatformConfig::single_soc(freq_hz)),
-        PlatformKind::MpSoc => run_mpsoc(&PlatformConfig::mpsoc(freq_hz)),
-    };
-    Table2Cell {
-        platform,
-        freq_hz,
-        probed_round: report.first_probe_round(),
-    }
-}
-
-/// Like [`measure_cell`], but runs the traced co-simulation so the SoC's
-/// cache, scheduler and probe metrics land in `telemetry` under an
+/// Measures one Table II cell by running the platform co-simulation. The
+/// SoC's cache, scheduler and probe metrics land in `telemetry` under an
 /// `experiment.table2.cell` span.
-pub fn measure_cell_traced(
+pub fn measure_cell(
     platform: PlatformKind,
     freq_hz: u64,
     telemetry: grinch_telemetry::Telemetry,
@@ -48,9 +35,9 @@ pub fn measure_cell_traced(
     let _span = grinch_telemetry::span!(telemetry, "experiment.table2.cell", freq_hz = freq_hz);
     let report = match platform {
         PlatformKind::SingleSoc => {
-            run_single_soc_traced(&PlatformConfig::single_soc(freq_hz), telemetry.clone())
+            run_single_soc(&PlatformConfig::single_soc(freq_hz), telemetry.clone())
         }
-        PlatformKind::MpSoc => run_mpsoc_traced(&PlatformConfig::mpsoc(freq_hz), telemetry.clone()),
+        PlatformKind::MpSoc => run_mpsoc(&PlatformConfig::mpsoc(freq_hz), telemetry.clone()),
     };
     Table2Cell {
         platform,
@@ -59,19 +46,14 @@ pub fn measure_cell_traced(
     }
 }
 
-/// Runs the full Table II sweep (both platforms × three frequencies).
-pub fn run() -> Vec<Table2Cell> {
-    run_traced(grinch_telemetry::Telemetry::disabled())
-}
-
-/// Like [`run`], but nests every cell's span under an `experiment.table2`
-/// root span in `telemetry`.
-pub fn run_traced(telemetry: grinch_telemetry::Telemetry) -> Vec<Table2Cell> {
+/// Runs the full Table II sweep (both platforms × three frequencies), every
+/// cell's span nested under an `experiment.table2` root span.
+pub fn run(telemetry: grinch_telemetry::Telemetry) -> Vec<Table2Cell> {
     let _span = grinch_telemetry::span!(telemetry, "experiment.table2");
     let mut cells = Vec::new();
     for platform in [PlatformKind::SingleSoc, PlatformKind::MpSoc] {
         for freq in TABLE2_FREQUENCIES {
-            cells.push(measure_cell_traced(platform, freq, telemetry.clone()));
+            cells.push(measure_cell(platform, freq, telemetry.clone()));
         }
     }
     cells
@@ -106,7 +88,7 @@ pub fn quantum_sweep(freq_hz: u64, quanta_ns: &[u64]) -> Vec<QuantumCell> {
         .iter()
         .map(|&q| {
             let cfg = PlatformConfig::single_soc(freq_hz).with_quantum_ns(q);
-            let report = run_single_soc(&cfg);
+            let report = run_single_soc(&cfg, grinch_telemetry::Telemetry::disabled());
             QuantumCell {
                 quantum_ns: q,
                 probed_round: report.first_probe_round(),
@@ -118,12 +100,13 @@ pub fn quantum_sweep(freq_hz: u64, quanta_ns: &[u64]) -> Vec<QuantumCell> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grinch_telemetry::Telemetry;
 
     #[test]
     fn single_soc_row_matches_paper() {
         let expected = [2usize, 4, 8];
         for (freq, want) in TABLE2_FREQUENCIES.iter().zip(expected) {
-            let cell = measure_cell(PlatformKind::SingleSoc, *freq);
+            let cell = measure_cell(PlatformKind::SingleSoc, *freq, Telemetry::disabled());
             assert_eq!(cell.probed_round, Some(want), "{freq} Hz");
         }
     }
@@ -131,7 +114,7 @@ mod tests {
     #[test]
     fn mpsoc_row_matches_paper() {
         for freq in TABLE2_FREQUENCIES {
-            let cell = measure_cell(PlatformKind::MpSoc, freq);
+            let cell = measure_cell(PlatformKind::MpSoc, freq, Telemetry::disabled());
             assert_eq!(cell.probed_round, Some(1), "{freq} Hz");
         }
     }
@@ -145,7 +128,7 @@ mod tests {
 
     #[test]
     fn full_sweep_has_six_cells() {
-        let cells = run();
+        let cells = run(Telemetry::disabled());
         assert_eq!(cells.len(), 6);
     }
 

@@ -197,15 +197,11 @@ pub struct CompareRow {
 }
 
 /// Runs the comparison: GIFT-64 stage 1 (32 bits) versus PRESENT-80
-/// round-1 recovery (64 bits), both at the earliest clean probe.
-pub fn run(seed: u64) -> Vec<CompareRow> {
-    run_traced(seed, grinch_telemetry::Telemetry::disabled())
-}
-
-/// Like [`run`], but wraps the comparison in an `experiment.present_compare`
-/// span and publishes the GIFT oracle's metrics plus a
-/// `present.encryptions` counter into `telemetry`.
-pub fn run_traced(seed: u64, telemetry: grinch_telemetry::Telemetry) -> Vec<CompareRow> {
+/// round-1 recovery (64 bits), both at the earliest clean probe. The
+/// comparison is wrapped in an `experiment.present_compare` span, and the
+/// GIFT oracle's metrics plus a `present.encryptions` counter are
+/// published into `telemetry`.
+pub fn run(seed: u64, telemetry: grinch_telemetry::Telemetry) -> Vec<CompareRow> {
     let _span = grinch_telemetry::span!(telemetry, "experiment.present_compare");
     let mut rows = Vec::new();
 
@@ -244,6 +240,7 @@ pub fn run_traced(seed: u64, telemetry: grinch_telemetry::Telemetry) -> Vec<Comp
 mod tests {
     use super::*;
     use gift_cipher::present::{expand_present, Present};
+    use grinch_telemetry::Telemetry;
 
     const KEY80: u128 = 0x0f1e_2d3c_4b5a_6978_8796;
 
@@ -288,7 +285,7 @@ mod tests {
 
     #[test]
     fn present_leaks_more_bits_per_encryption_than_gift() {
-        let rows = run(42);
+        let rows = run(42, Telemetry::disabled());
         let gift = rows[0];
         let present = rows[1];
         assert_eq!(gift.cipher, "GIFT-64");

@@ -44,19 +44,9 @@ impl Default for Fig3Config {
 }
 
 /// Measures one Fig. 3 cell: a first-round (stage 1) recovery at the given
-/// probing round and flush setting.
-pub fn measure_cell(config: &Fig3Config, probing_round: usize, flush: bool) -> CellResult {
-    measure_cell_traced(
-        config,
-        probing_round,
-        flush,
-        grinch_telemetry::Telemetry::disabled(),
-    )
-}
-
-/// Like [`measure_cell`], but wraps the cell in an `experiment.fig3.cell`
-/// span and publishes the oracle's metrics into `telemetry`.
-pub fn measure_cell_traced(
+/// probing round and flush setting, wrapped in an `experiment.fig3.cell`
+/// span with the oracle's metrics published into `telemetry`.
+pub fn measure_cell(
     config: &Fig3Config,
     probing_round: usize,
     flush: bool,
@@ -86,14 +76,9 @@ pub fn measure_cell_traced(
 }
 
 /// Runs the full Fig. 3 sweep: both series over probing rounds
-/// `1..=max_probing_round`.
-pub fn run(config: &Fig3Config) -> Vec<Fig3Point> {
-    run_traced(config, grinch_telemetry::Telemetry::disabled())
-}
-
-/// Like [`run`], but nests every cell's span under an `experiment.fig3`
-/// root span in `telemetry`.
-pub fn run_traced(config: &Fig3Config, telemetry: grinch_telemetry::Telemetry) -> Vec<Fig3Point> {
+/// `1..=max_probing_round`, every cell's span nested under an
+/// `experiment.fig3` root span.
+pub fn run(config: &Fig3Config, telemetry: grinch_telemetry::Telemetry) -> Vec<Fig3Point> {
     let _span = grinch_telemetry::span!(telemetry, "experiment.fig3");
     let mut points = Vec::new();
     for flush in [true, false] {
@@ -101,7 +86,7 @@ pub fn run_traced(config: &Fig3Config, telemetry: grinch_telemetry::Telemetry) -
             points.push(Fig3Point {
                 probing_round,
                 flush,
-                result: measure_cell_traced(config, probing_round, flush, telemetry.clone()),
+                result: measure_cell(config, probing_round, flush, telemetry.clone()),
             });
         }
     }
@@ -111,6 +96,7 @@ pub fn run_traced(config: &Fig3Config, telemetry: grinch_telemetry::Telemetry) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grinch_telemetry::Telemetry;
 
     fn quick_config() -> Fig3Config {
         Fig3Config {
@@ -123,8 +109,8 @@ mod tests {
     #[test]
     fn effort_grows_with_probing_round() {
         let cfg = quick_config();
-        let r1 = measure_cell(&cfg, 1, true);
-        let r3 = measure_cell(&cfg, 3, true);
+        let r1 = measure_cell(&cfg, 1, true, Telemetry::disabled());
+        let r3 = measure_cell(&cfg, 3, true, Telemetry::disabled());
         assert!(r1.is_recovered());
         assert!(r3.is_recovered());
         assert!(
@@ -138,8 +124,8 @@ mod tests {
     #[test]
     fn flush_reduces_effort() {
         let cfg = quick_config();
-        let with_flush = measure_cell(&cfg, 2, true);
-        let without = measure_cell(&cfg, 2, false);
+        let with_flush = measure_cell(&cfg, 2, true, Telemetry::disabled());
+        let without = measure_cell(&cfg, 2, false, Telemetry::disabled());
         assert!(with_flush.is_recovered());
         assert!(
             without.encryptions() > with_flush.encryptions(),
@@ -156,7 +142,7 @@ mod tests {
             max_encryptions: 20_000,
             ..Fig3Config::default()
         };
-        let points = run(&cfg);
+        let points = run(&cfg, Telemetry::disabled());
         assert_eq!(points.len(), 4);
         assert!(points.iter().any(|p| p.flush));
         assert!(points.iter().any(|p| !p.flush));

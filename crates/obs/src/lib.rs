@@ -26,6 +26,9 @@
 //! * [`bench`] — the regression gate: aggregates a run's telemetry into a
 //!   schema'd `BENCH_<name>.json` and compares it against committed
 //!   baselines with configurable tolerances;
+//! * [`artifacts`] — the per-run pipeline every producer calls: the
+//!   telemetry handle with its crash flight recorder, then the trace,
+//!   bench report, span profile and ledger record a run leaves behind;
 //! * [`history`] — the persistent half: the append-only run ledger
 //!   (`grinch-run/v1` records in `results/ledger/LEDGER.jsonl`), the
 //!   median/MAD regression sentinel with change-point detection, trend
@@ -51,6 +54,7 @@
 
 #![warn(missing_docs)]
 
+pub mod artifacts;
 pub mod bench;
 pub mod chrome;
 pub mod cli;
@@ -63,6 +67,7 @@ pub mod matrix;
 pub mod paths;
 pub mod profile;
 
+pub use artifacts::{bench_telemetry_for, emit_telemetry_report};
 pub use bench::{BenchReport, GateOutcome, MetricDeviation, WallSection};
 pub use chrome::chrome_trace_json;
 pub use dashboard::dashboard;

@@ -11,8 +11,8 @@
 //! lingua franca of flamegraph tooling: `inferno-flamegraph`,
 //! `flamegraph.pl` and speedscope all load it directly. Self times are a
 //! partition of the root spans' wall (simulated) time, so the totals sum
-//! exactly to the root durations — pinned by test and by the quickstart's
-//! `results/PROFILE_quickstart.folded` acceptance check.
+//! exactly to the root durations — pinned by test and checked on every
+//! `PROFILE_<name>.folded` that [`crate::emit_telemetry_report`] writes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

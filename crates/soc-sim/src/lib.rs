@@ -20,13 +20,16 @@
 //! The two top-level entry points are [`scenario::run_single_soc`] and
 //! [`scenario::run_mpsoc`], each returning a [`scenario::ScenarioReport`]
 //! describing every probe the attacker managed to execute and which victim
-//! round it landed in — the quantity Table II of the paper reports.
+//! round it landed in — the quantity Table II of the paper reports. Both
+//! take a `grinch_telemetry::Telemetry` last; `Telemetry::disabled()`
+//! records nothing.
 //!
 //! ```
+//! use grinch_telemetry::Telemetry;
 //! use soc_sim::platform::PlatformConfig;
 //! use soc_sim::scenario::run_single_soc;
 //!
-//! let report = run_single_soc(&PlatformConfig::single_soc(10_000_000));
+//! let report = run_single_soc(&PlatformConfig::single_soc(10_000_000), Telemetry::disabled());
 //! let first_round = report.first_probe_round().expect("attacker got a window");
 //! assert!(first_round >= 1);
 //! ```

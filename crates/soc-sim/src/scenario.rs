@@ -92,15 +92,12 @@ fn extract_report(log: &ScenarioLog, ciphertexts: Vec<u64>, end_ns: u64) -> Scen
 /// The victim is scheduled first (it has a pending encryption request); the
 /// attacker gets the CPU at each quantum expiry, runs one Flush+Reload pass
 /// and yields.
-pub fn run_single_soc(config: &PlatformConfig) -> ScenarioReport {
-    run_single_soc_with(config, demo_key(), demo_plaintexts(config.encryptions))
-}
-
-/// Like [`run_single_soc`], but mirrors the whole co-simulation into
-/// `telemetry`: the shared cache publishes `cache.l1.*`, the scenario log
-/// publishes victim/attacker/scheduler counters, and the run is wrapped in
-/// a `scenario.single_soc` span.
-pub fn run_single_soc_traced(
+///
+/// The whole co-simulation is mirrored into `telemetry`: the shared cache
+/// publishes `cache.l1.*`, the scenario log publishes
+/// victim/attacker/scheduler counters, and the run is wrapped in a
+/// `scenario.single_soc` span.
+pub fn run_single_soc(
     config: &PlatformConfig,
     telemetry: grinch_telemetry::Telemetry,
 ) -> ScenarioReport {
@@ -240,16 +237,11 @@ fn replay_ciphertexts(
         .collect()
 }
 
-/// Simulates the MPSoC with the default demo key.
-pub fn run_mpsoc(config: &PlatformConfig) -> ScenarioReport {
-    run_mpsoc_with(config, demo_key(), demo_plaintexts(config.encryptions))
-}
-
-/// Like [`run_mpsoc`], but mirrors the whole co-simulation into
-/// `telemetry`: the shared cache publishes `cache.l1.*`, the scenario log
-/// publishes victim/attacker counters, and the run is wrapped in a
-/// `scenario.mpsoc` span.
-pub fn run_mpsoc_traced(
+/// Simulates the MPSoC with the default demo key, mirroring the whole
+/// co-simulation into `telemetry`: the shared cache publishes `cache.l1.*`,
+/// the scenario log publishes victim/attacker counters, and the run is
+/// wrapped in a `scenario.mpsoc` span.
+pub fn run_mpsoc(
     config: &PlatformConfig,
     telemetry: grinch_telemetry::Telemetry,
 ) -> ScenarioReport {
@@ -360,13 +352,14 @@ fn run_mpsoc_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grinch_telemetry::Telemetry;
 
     #[test]
     fn single_soc_first_probe_rounds_match_table2() {
         // Table II, single-processor SoC row: 10 MHz → round 2,
         // 25 MHz → round 4, 50 MHz → round 8.
         for (freq, expected_round) in [(10_000_000u64, 2usize), (25_000_000, 4), (50_000_000, 8)] {
-            let report = run_single_soc(&PlatformConfig::single_soc(freq));
+            let report = run_single_soc(&PlatformConfig::single_soc(freq), Telemetry::disabled());
             assert_eq!(
                 report.first_probe_round(),
                 Some(expected_round),
@@ -379,21 +372,24 @@ mod tests {
     fn mpsoc_first_probe_round_is_one_at_all_frequencies() {
         // Table II, MPSoC row: round 1 at 10/25/50 MHz.
         for freq in [10_000_000u64, 25_000_000, 50_000_000] {
-            let report = run_mpsoc(&PlatformConfig::mpsoc(freq));
+            let report = run_mpsoc(&PlatformConfig::mpsoc(freq), Telemetry::disabled());
             assert_eq!(report.first_probe_round(), Some(1), "frequency {freq}");
         }
     }
 
     #[test]
     fn single_soc_victim_completes_encryption() {
-        let report = run_single_soc(&PlatformConfig::single_soc(25_000_000));
+        let report = run_single_soc(
+            &PlatformConfig::single_soc(25_000_000),
+            Telemetry::disabled(),
+        );
         assert_eq!(report.ciphertexts.len(), 1);
         assert!(report.end_ns > 0);
     }
 
     #[test]
     fn mpsoc_attacker_probes_every_round() {
-        let report = run_mpsoc(&PlatformConfig::mpsoc(50_000_000));
+        let report = run_mpsoc(&PlatformConfig::mpsoc(50_000_000), Telemetry::disabled());
         // Probes are ~13 µs apart, rounds 1.2 ms: every round must contain
         // at least one probe.
         let mut seen = std::collections::HashSet::new();
@@ -410,7 +406,7 @@ mod tests {
     #[test]
     fn disturber_does_not_break_the_victim_and_can_pollute_probes() {
         let config = PlatformConfig::single_soc(10_000_000);
-        let clean = run_single_soc(&config);
+        let clean = run_single_soc(&config, Telemetry::disabled());
         let noisy = run_single_soc_with_disturber(&config, 200);
         // The victim still completes and produces the same ciphertext.
         assert_eq!(noisy.ciphertexts, clean.ciphertexts);
@@ -421,9 +417,9 @@ mod tests {
     #[test]
     fn traced_runs_match_untraced_and_fill_the_registry() {
         let config = PlatformConfig::single_soc(25_000_000);
-        let tel = grinch_telemetry::Telemetry::new();
-        let traced = run_single_soc_traced(&config, tel.clone());
-        let plain = run_single_soc(&config);
+        let tel = Telemetry::new();
+        let traced = run_single_soc(&config, tel.clone());
+        let plain = run_single_soc(&config, Telemetry::disabled());
         // Telemetry must not perturb the simulation.
         assert_eq!(traced.first_probe_round(), plain.first_probe_round());
         assert_eq!(traced.ciphertexts, plain.ciphertexts);
@@ -436,12 +432,12 @@ mod tests {
         assert_eq!(span.name, "scenario.single_soc");
         assert!(span.end_ns.is_some());
 
-        let mtel = grinch_telemetry::Telemetry::new();
+        let mtel = Telemetry::new();
         let mconfig = PlatformConfig::mpsoc(25_000_000);
-        let mtraced = run_mpsoc_traced(&mconfig, mtel.clone());
+        let mtraced = run_mpsoc(&mconfig, mtel.clone());
         assert_eq!(
             mtraced.first_probe_round(),
-            run_mpsoc(&mconfig).first_probe_round()
+            run_mpsoc(&mconfig, Telemetry::disabled()).first_probe_round()
         );
         assert!(mtel.counter("attacker.probe_passes") > 0);
     }
@@ -451,10 +447,13 @@ mod tests {
         // Defended single SoC: the attacker's reloads are confined to its
         // own ways, so probe passes never observe victim S-box lines — but
         // the victim's encryption is untouched.
-        let clean = run_single_soc(&PlatformConfig::single_soc(25_000_000));
+        let clean = run_single_soc(
+            &PlatformConfig::single_soc(25_000_000),
+            Telemetry::disabled(),
+        );
         let defended = PlatformConfig::single_soc(25_000_000)
             .with_way_partition(cache_sim::WayPartition::even_split(16));
-        let report = run_single_soc(&defended);
+        let report = run_single_soc(&defended, Telemetry::disabled());
         assert_eq!(report.ciphertexts, clean.ciphertexts);
         let total_hits: usize = report.probes.iter().map(|p| p.hit_lines.len()).sum();
         assert_eq!(total_hits, 0, "partition must blind every probe pass");
@@ -466,21 +465,21 @@ mod tests {
         // Flush+Reload channel works on addresses, not sets: the undefended
         // observation survives, pinning that KeyedRemap alone (without
         // epochs) does NOT stop Flush+Reload — only Prime+Probe.
-        let clean = run_mpsoc(&PlatformConfig::mpsoc(25_000_000));
+        let clean = run_mpsoc(&PlatformConfig::mpsoc(25_000_000), Telemetry::disabled());
         let defended = PlatformConfig::mpsoc(25_000_000).with_index_mapping(
             cache_sim::IndexMapping::KeyedRemap {
                 key: 0x5eed,
                 epoch_accesses: 0,
             },
         );
-        let report = run_mpsoc(&defended);
+        let report = run_mpsoc(&defended, Telemetry::disabled());
         assert_eq!(report.ciphertexts, clean.ciphertexts);
         assert_eq!(report.first_probe_round(), clean.first_probe_round());
     }
 
     #[test]
     fn mpsoc_probe_hits_reflect_victim_activity() {
-        let report = run_mpsoc(&PlatformConfig::mpsoc(10_000_000));
+        let report = run_mpsoc(&PlatformConfig::mpsoc(10_000_000), Telemetry::disabled());
         // At least one probe during the encryption must observe S-box lines.
         let total_hits: usize = report
             .probes

@@ -9,6 +9,7 @@
 use gift_cipher::countermeasure::{masked_round_keys_64, WideLineGift64};
 use gift_cipher::{Gift64, Key, RecordingObserver, TableLayout};
 use grinch::experiments::countermeasures::{run, AblationConfig};
+use grinch_telemetry::Telemetry;
 
 fn main() {
     let key = Key::from_u128(0x0f1e_2d3c_4b5a_6978_8796_a5b4_c3d2_e1f0);
@@ -43,7 +44,7 @@ fn main() {
 
     // Full ablation: attack each configuration.
     println!("\nrunning the four-stage attack against each configuration ...\n");
-    let rows = run(&AblationConfig::default());
+    let rows = run(&AblationConfig::default(), Telemetry::disabled());
     println!(
         "{:>22} {:>14} {:>14}",
         "protection", "key recovered", "encryptions"

@@ -11,6 +11,7 @@ use gift_cipher::Key;
 use grinch::attack::{recover_full_key, AttackConfig};
 use grinch::experiments::practical::probing_round_equivalent;
 use grinch::oracle::{ObservationConfig, VictimOracle};
+use grinch_telemetry::Telemetry;
 use soc_sim::platform::{PlatformConfig, PlatformKind};
 use soc_sim::scenario::{run_mpsoc, run_single_soc};
 
@@ -27,8 +28,12 @@ fn main() {
         println!("== {label} ==");
         for freq in [10_000_000u64, 25_000_000, 50_000_000] {
             let report = match kind {
-                PlatformKind::MpSoc => run_mpsoc(&PlatformConfig::mpsoc(freq)),
-                PlatformKind::SingleSoc => run_single_soc(&PlatformConfig::single_soc(freq)),
+                PlatformKind::MpSoc => {
+                    run_mpsoc(&PlatformConfig::mpsoc(freq), Telemetry::disabled())
+                }
+                PlatformKind::SingleSoc => {
+                    run_single_soc(&PlatformConfig::single_soc(freq), Telemetry::disabled())
+                }
             };
             let probed = report.first_probe_round();
             println!(

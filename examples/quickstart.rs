@@ -7,12 +7,13 @@
 //! The run is fully instrumented: a JSONL trace (counters, gauges,
 //! histograms, nested attack-stage spans) lands in
 //! `results/quickstart.telemetry.jsonl` and a summary table prints at the
-//! end.
+//! end. The bench report, span profile and run-ledger record come from the
+//! same emitter the `grinch-bench` binaries use
+//! ([`grinch_obs::emit_telemetry_report`]).
 
 use gift_cipher::{Gift64, Key};
 use grinch::attack::{recover_full_key, AttackConfig};
 use grinch::oracle::{ObservationConfig, VictimOracle};
-use grinch_telemetry::Telemetry;
 
 fn main() {
     // 1. The victim: GIFT-64 with a secret 128-bit key.
@@ -26,19 +27,10 @@ fn main() {
     // 2. The attack surface: a lookup-table implementation whose S-box
     //    accesses hit a shared cache, probed with Flush+Reload at the
     //    paper's ideal moment (probing round 1, with flush). Telemetry
-    //    records every probe, cache event, and stage span —
+    //    records every probe, cache event, and stage span, and its crash
+    //    flight recorder dumps the last events on panic —
     //    GRINCH_TELEMETRY=0 turns all of it off.
-    let telemetry = Telemetry::from_env();
-    if telemetry.is_enabled() {
-        // Crash flight recorder: keep the last events in a ring and dump
-        // them on panic, so a dead run leaves `grinch-report postmortem`
-        // something to read.
-        telemetry.enable_flight_recorder(grinch_telemetry::DEFAULT_FLIGHT_CAPACITY);
-        telemetry.install_flight_dump_on_panic(
-            "quickstart",
-            grinch_obs::paths::results_dir().join("FLIGHT_quickstart.json"),
-        );
-    }
+    let telemetry = grinch_obs::bench_telemetry_for("quickstart");
     if std::env::var("GRINCH_FORCE_PANIC").as_deref() == Ok("1") {
         // CI's flight-recorder drill: open a recognisable span stack, emit
         // a few events, and die mid-span. The panic hook must leave a
@@ -113,74 +105,21 @@ fn main() {
     println!(" bits");
     println!("\n{}", telemetry.summary());
 
-    let dir = grinch_obs::paths::results_dir();
-    let path = dir.join("quickstart.telemetry.jsonl");
-    match std::fs::create_dir_all(&dir).and_then(|()| telemetry.write_jsonl(&path)) {
-        Ok(()) => println!(
-            "telemetry trace: {} (try: grinch-report dashboard {0})",
-            path.display()
-        ),
-        Err(e) => eprintln!("telemetry: write to {} failed: {e}", path.display()),
-    }
-
-    // 5. Span profile: the trace's span tree collapsed into per-stack self
-    //    times (flamegraph-ready). Self times are a partition of the root
-    //    span's duration — the totals must sum exactly.
-    let profile = grinch_obs::SpanProfile::from_snapshot(&snapshot);
-    assert_eq!(
-        profile.total_self_ns(),
-        profile.root_total_ns,
-        "span self-times must partition the root span duration"
+    // 5. The run's artifacts: the JSONL trace, results/BENCH_quickstart.json
+    //    with the wall-clock recovery throughput (never gated —
+    //    grinch-report compares metrics only — but tracked so optimisation
+    //    work stays honest), the span profile, and one run-ledger record.
+    let secs = recovery_wall_ns as f64 / 1e9;
+    println!(
+        "wall clock: recovered in {:.2} ms ({:.0} encryptions/s)",
+        secs * 1e3,
+        outcome.encryptions as f64 / secs
     );
-    let folded_path = dir.join("PROFILE_quickstart.folded");
-    match std::fs::write(&folded_path, profile.folded()) {
-        Ok(()) => println!(
-            "span profile: {} ({} stacks, {} simulated ns across roots; \
-             try: grinch-report profile {})",
-            folded_path.display(),
-            profile.lines.len(),
-            profile.root_total_ns,
-            path.display()
-        ),
-        Err(e) => eprintln!("profile: write to {} failed: {e}", folded_path.display()),
-    }
-
-    // 6. Wall-clock record: the telemetry-enabled recovery throughput, in
-    //    encryptions per second. Never gated — grinch-report compares
-    //    metrics only — but tracked so optimisation work stays honest.
-    let mut report = grinch_obs::BenchReport::from_snapshot("quickstart", &snapshot);
-    report.push_wall(
+    let wall = [
         grinch_obs::WallSection::new("recovery", recovery_wall_ns, outcome.encryptions as f64)
             .with_rate("encryptions/sec"),
-    );
-    report.push_wall(
         grinch_obs::WallSection::new("recoveries", recovery_wall_ns, 1.0)
             .with_rate("recoveries/sec"),
-    );
-    let bench_path = dir.join("BENCH_quickstart.json");
-    match std::fs::write(&bench_path, report.to_json()) {
-        Ok(()) => {
-            let secs = recovery_wall_ns as f64 / 1e9;
-            println!(
-                "wall clock: recovered in {:.2} ms ({:.0} encryptions/s) -> {}",
-                secs * 1e3,
-                outcome.encryptions as f64 / secs,
-                bench_path.display()
-            );
-        }
-        Err(e) => eprintln!(
-            "bench report: write to {} failed: {e}",
-            bench_path.display()
-        ),
-    }
-
-    // 7. One `grinch-run/v1` record into the append-only run ledger — the
-    //    longitudinal history behind `grinch-report regress` and
-    //    `grinch-report trend`. GRINCH_LEDGER=0 opts out.
-    if let Some(ledger_path) = grinch_obs::history::append_run(&report, Some(&profile), None) {
-        println!(
-            "run ledger: {} (try: grinch-report trend)",
-            ledger_path.display()
-        );
-    }
+    ];
+    grinch_obs::emit_telemetry_report(&telemetry, "quickstart", &wall);
 }

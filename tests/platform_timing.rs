@@ -1,12 +1,13 @@
 //! Integration tests of the SoC platform simulations feeding Table II.
 
+use grinch_telemetry::Telemetry;
 use soc_sim::platform::PlatformConfig;
 use soc_sim::scenario::{run_mpsoc, run_single_soc};
 
 #[test]
 fn table2_single_soc_row() {
     for (freq, expected) in [(10_000_000u64, 2usize), (25_000_000, 4), (50_000_000, 8)] {
-        let report = run_single_soc(&PlatformConfig::single_soc(freq));
+        let report = run_single_soc(&PlatformConfig::single_soc(freq), Telemetry::disabled());
         assert_eq!(report.first_probe_round(), Some(expected), "{freq} Hz");
     }
 }
@@ -14,7 +15,7 @@ fn table2_single_soc_row() {
 #[test]
 fn table2_mpsoc_row() {
     for freq in [10_000_000u64, 25_000_000, 50_000_000] {
-        let report = run_mpsoc(&PlatformConfig::mpsoc(freq));
+        let report = run_mpsoc(&PlatformConfig::mpsoc(freq), Telemetry::disabled());
         assert_eq!(report.first_probe_round(), Some(1), "{freq} Hz");
     }
 }
@@ -25,7 +26,7 @@ fn single_soc_probe_frequency_ordering_is_monotone() {
     // probe lands strictly later in the encryption.
     let mut rounds = Vec::new();
     for freq in [10_000_000u64, 25_000_000, 50_000_000] {
-        let report = run_single_soc(&PlatformConfig::single_soc(freq));
+        let report = run_single_soc(&PlatformConfig::single_soc(freq), Telemetry::disabled());
         rounds.push(report.first_probe_round().expect("probe lands"));
     }
     assert!(rounds.windows(2).all(|w| w[0] < w[1]), "{rounds:?}");
@@ -33,7 +34,7 @@ fn single_soc_probe_frequency_ordering_is_monotone() {
 
 #[test]
 fn mpsoc_probes_are_dense_relative_to_rounds() {
-    let report = run_mpsoc(&PlatformConfig::mpsoc(50_000_000));
+    let report = run_mpsoc(&PlatformConfig::mpsoc(50_000_000), Telemetry::disabled());
     // The paper's anchor: a remote probe is ~400 ns/line while a round is
     // 1.2 ms at 50 MHz, so many probes land inside each round.
     let probes_in_round_1 = report
@@ -53,7 +54,7 @@ fn mpsoc_differential_probing_recovers_per_round_access_sets() {
     // are accesses since the previous pass: a pass completing in round r+1
     // after passes in round r carries (a subset of) round r+1's lines.
     let cfg = PlatformConfig::mpsoc(10_000_000);
-    let report = run_mpsoc(&cfg);
+    let report = run_mpsoc(&cfg, Telemetry::disabled());
     let hits_during_encryption: usize = report
         .probes
         .iter()
@@ -68,8 +69,11 @@ fn mpsoc_differential_probing_recovers_per_round_access_sets() {
 
 #[test]
 fn victim_ciphertext_is_correct_on_both_platforms() {
-    let soc = run_single_soc(&PlatformConfig::single_soc(25_000_000));
-    let mpsoc = run_mpsoc(&PlatformConfig::mpsoc(25_000_000));
+    let soc = run_single_soc(
+        &PlatformConfig::single_soc(25_000_000),
+        Telemetry::disabled(),
+    );
+    let mpsoc = run_mpsoc(&PlatformConfig::mpsoc(25_000_000), Telemetry::disabled());
     assert_eq!(soc.ciphertexts.len(), 1);
     assert_eq!(mpsoc.ciphertexts.len(), 1);
     // Same demo key and plaintext on both platforms: identical ciphertext.

@@ -254,7 +254,7 @@ fn mpsoc_round1_recovery_is_pinned() {
 
 #[test]
 fn hierarchy_rows_are_pinned() {
-    let rows: Vec<(String, bool, u64)> = hierarchy::run(keys()[0], 20_000)
+    let rows: Vec<(String, bool, u64)> = hierarchy::run(keys()[0], 20_000, Telemetry::disabled())
         .into_iter()
         .map(|row| (row.setting.to_string(), row.recovered, row.encryptions))
         .collect();
