@@ -12,7 +12,7 @@
 //!   which shard of the grid this journal covers;
 //! * one **cell** line per finished cell, carrying the cell index, its
 //!   deterministic seed and the result in the same single-line form the
-//!   matrix document uses ([`crate::report::cell_json`]) — a journaled
+//!   matrix document uses ([`crate::report::write_cell`]) — a journaled
 //!   cell re-emits byte-identically into the final matrix;
 //! * a **final** line marking orderly completion, with the matrix
 //!   fingerprint for full-grid journals.
@@ -30,10 +30,10 @@
 use crate::cell::CellResult;
 use crate::engine::{assemble_matrix, run_cells};
 use crate::progress::WorkerEvent;
-use crate::report::{cell_json, parse_cell, ArenaMatrix};
+use crate::report::{parse_cell, write_cell, ArenaMatrix};
 use crate::spec::CampaignConfig;
 use grinch_obs::history::{capture_env, fingerprint, new_run_id};
-use grinch_telemetry::json::{parse, JsonValue, ObjWriter};
+use grinch_telemetry::json::{parse, JsonValue, Layout, ObjWriter};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::Sender;
@@ -135,7 +135,7 @@ impl Journal {
             .u64("cell", cell as u64)
             .u64("seed", seed)
             .u64("wall_ms", wall_ms)
-            .raw("result", &cell_json(result));
+            .obj("result", Layout::Compact, |o| write_cell(o, result));
         self.append_line(&w.finish())
     }
 
@@ -174,17 +174,6 @@ fn header_json(
     run_id: &str,
     shard: Option<(usize, usize)>,
 ) -> String {
-    let mut env = String::from("{");
-    for (i, (k, v)) in capture_env().iter().enumerate() {
-        if i > 0 {
-            env.push(',');
-        }
-        let mut pair = ObjWriter::new();
-        pair.str(k, v);
-        let pair = pair.finish();
-        env.push_str(&pair[1..pair.len() - 1]);
-    }
-    env.push('}');
     let mut w = ObjWriter::new();
     w.str("schema", CAMPAIGN_SCHEMA)
         .str("record", "header")
@@ -193,14 +182,17 @@ fn header_json(
         .u64("campaign_seed", config.seed)
         .u64("num_cells", config.num_cells() as u64);
     match shard {
-        Some((index, of)) => {
-            let mut s = ObjWriter::new();
+        Some((index, of)) => w.obj("shard", Layout::Compact, |s| {
             s.u64("index", index as u64).u64("of", of as u64);
-            w.raw("shard", &s.finish())
-        }
+        }),
         None => w.null("shard"),
     };
-    w.raw("env", &env).raw("config", &config.config_json());
+    w.obj("env", Layout::Compact, |e| {
+        for (k, v) in capture_env() {
+            e.str(&k, &v);
+        }
+    })
+    .raw("config", &config.config_json());
     w.finish()
 }
 
@@ -324,7 +316,7 @@ fn parse_record(line: &str, state: &mut Option<JournalState>) -> Result<(), Stri
                 return Err("second header record".to_string());
             }
             let config_value = value.get("config").ok_or("header missing config")?;
-            let config = CampaignConfig::from_config_json(&render(config_value))?;
+            let config = CampaignConfig::from_config_json(&config_value.to_json())?;
             let campaign_id = str_field("campaign_id")?;
             if campaign_id != config.fingerprint() {
                 return Err(format!(
@@ -401,53 +393,6 @@ fn parse_record(line: &str, state: &mut Option<JournalState>) -> Result<(), Stri
             Ok(())
         }
         other => Err(format!("unknown record type {other:?}")),
-    }
-}
-
-/// Re-renders a parsed JSON value — used to hand the embedded config
-/// object back to [`CampaignConfig::from_config_json`].
-fn render(value: &JsonValue) -> String {
-    match value {
-        JsonValue::Null => "null".to_string(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::Num(n) => {
-            let mut out = String::new();
-            grinch_telemetry::json::write_f64(&mut out, *n);
-            out
-        }
-        JsonValue::Int(n) => n.to_string(),
-        JsonValue::BigUint(n) => n.to_string(),
-        JsonValue::Str(s) => {
-            let mut out = String::from("\"");
-            grinch_telemetry::json::escape_into(&mut out, s);
-            out.push('"');
-            out
-        }
-        JsonValue::Arr(items) => {
-            let mut out = String::from("[");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&render(item));
-            }
-            out.push(']');
-            out
-        }
-        JsonValue::Obj(pairs) => {
-            let mut out = String::from("{");
-            for (i, (k, v)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                grinch_telemetry::json::escape_into(&mut out, k);
-                out.push_str("\":");
-                out.push_str(&render(v));
-            }
-            out.push('}');
-            out
-        }
     }
 }
 
@@ -735,6 +680,73 @@ mod tests {
         }
         let matrix = assemble_matrix(&cfg, union).expect("shards cover the grid");
         assert_eq!(matrix.to_json(), full.to_json());
+    }
+
+    #[test]
+    fn header_cell_and_final_records_are_pinned() {
+        let cfg = CampaignConfig {
+            defenses: vec![crate::spec::DefenseSpec::WayPartition],
+            attacks: vec![crate::spec::AttackSpec::PrimeProbe],
+            noise_levels: vec![0.0, 0.25],
+            trials: 1,
+            seed: 7,
+            max_stage_encryptions: 500,
+            jobs: 1,
+        };
+        let path = tmp("pinned.jsonl");
+        let journal = Journal::create(&path, &cfg, Some((1, 2))).expect("creates");
+        let cell = CellResult {
+            defense: "partition".to_string(),
+            attack: "prime-probe".to_string(),
+            noise: 0.25,
+            trials: 1,
+            successes: 0,
+            success_rate: 0.0,
+            mean_encryptions_to_success: None,
+            mean_residual_entropy_bits: 32.0,
+        };
+        journal.append_cell(1, 0xfeed, &cell).expect("appends");
+        journal.finalize(1, None).expect("finalizes");
+        let text = std::fs::read_to_string(&path).expect("text");
+        let _ = std::fs::remove_file(&path);
+        // The run id, the environment values and the wall time vary by
+        // process and host; everything else is literal.
+        let run_id = journal.run_id();
+        let env: Vec<String> = capture_env()
+            .iter()
+            .map(|(k, v)| format!("\"{k}\":\"{v}\""))
+            .collect();
+        let env = env.join(",");
+        let wall_ms = text
+            .lines()
+            .nth(1)
+            .and_then(parse)
+            .and_then(|v| v.get("wall_ms").and_then(JsonValue::as_u64))
+            .expect("cell record has wall_ms");
+        let expected = format!(
+            concat!(
+                "{{\"schema\":\"grinch-campaign/v1\",\"record\":\"header\",",
+                "\"campaign_id\":\"fc568eb963a67d78\",\"run_id\":\"{run_id}\",",
+                "\"campaign_seed\":7,\"num_cells\":2,\"shard\":{{\"index\":1,\"of\":2}},",
+                "\"env\":{{{env}}},\"config\":{{\"schema\":\"grinch-campaign-config/v1\",",
+                "\"defenses\":[\"partition\"],\"attacks\":[\"prime-probe\"],",
+                "\"noise_levels\":[0.0,0.25],\"trials\":1,\"seed\":7,",
+                "\"max_stage_encryptions\":500}}}}\n",
+                "{{\"schema\":\"grinch-campaign/v1\",\"record\":\"cell\",",
+                "\"campaign_id\":\"fc568eb963a67d78\",\"run_id\":\"{run_id}\",",
+                "\"cell\":1,\"seed\":65261,\"wall_ms\":{wall_ms},\"result\":{{",
+                "\"defense\":\"partition\",\"attack\":\"prime-probe\",\"noise\":0.25,",
+                "\"trials\":1,\"successes\":0,\"success_rate\":0.0,",
+                "\"mean_encryptions_to_success\":null,\"mean_residual_entropy_bits\":32.0}}}}\n",
+                "{{\"schema\":\"grinch-campaign/v1\",\"record\":\"final\",",
+                "\"campaign_id\":\"fc568eb963a67d78\",\"run_id\":\"{run_id}\",",
+                "\"cells\":1,\"matrix_fingerprint\":null}}\n",
+            ),
+            run_id = run_id,
+            env = env,
+            wall_ms = wall_ms,
+        );
+        assert_eq!(text, expected);
     }
 
     #[test]

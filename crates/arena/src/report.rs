@@ -9,7 +9,7 @@
 
 use crate::cell::CellResult;
 use grinch_obs::MatrixHeat;
-use grinch_telemetry::json::{parse, JsonValue, ObjWriter};
+use grinch_telemetry::json::{parse, JsonValue, Layout, ObjWriter};
 
 /// Schema tag of the serialized matrix document.
 pub const SCHEMA: &str = "grinch-arena/v1";
@@ -90,37 +90,26 @@ impl ArenaMatrix {
     /// precision the cell runner already rounded to — so equal matrices
     /// serialize byte-identically.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"trials\": {},\n", self.trials));
-        out.push_str(&format!(
-            "  \"max_stage_encryptions\": {},\n",
-            self.max_stage_encryptions
-        ));
-        out.push_str(&format!("  \"defenses\": {},\n", str_array(&self.defenses)));
-        out.push_str(&format!("  \"attacks\": {},\n", str_array(&self.attacks)));
-        let mut noise = String::from("[");
-        for (i, p) in self.noise_levels.iter().enumerate() {
-            if i > 0 {
-                noise.push_str(", ");
-            }
-            grinch_telemetry::json::write_f64(&mut noise, *p);
-        }
-        noise.push(']');
-        out.push_str(&format!("  \"noise_levels\": {noise},\n"));
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&cell_json(cell));
-            out.push_str(if i + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
+        let mut w = ObjWriter::with_layout(Layout::Lines);
+        w.str("schema", SCHEMA)
+            .u64("seed", self.seed)
+            .u64("trials", self.trials)
+            .u64("max_stage_encryptions", self.max_stage_encryptions)
+            .arr("defenses", Layout::Spaced, |a| {
+                self.defenses.iter().for_each(|d| a.str(d));
+            })
+            .arr("attacks", Layout::Spaced, |a| {
+                self.attacks.iter().for_each(|at| a.str(at));
+            })
+            .arr("noise_levels", Layout::Spaced, |a| {
+                self.noise_levels.iter().for_each(|p| a.f64(*p));
+            })
+            .arr("cells", Layout::Lines, |a| {
+                for cell in &self.cells {
+                    a.obj(Layout::Compact, |o| write_cell(o, cell));
+                }
             });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        w.finish() + "\n"
     }
 
     /// Parses a `grinch-arena/v1` document.
@@ -236,12 +225,12 @@ impl ArenaMatrix {
     }
 }
 
-/// Serializes one cell as the canonical single-line JSON object used both
-/// inside the `grinch-arena/v1` matrix document and as the payload of
-/// `grinch-campaign/v1` journal records — one serializer, so a journaled
-/// cell re-emits byte-identically into the final matrix.
-pub fn cell_json(cell: &CellResult) -> String {
-    let mut w = ObjWriter::new();
+/// Writes one cell's members into an open compact object: the canonical
+/// single-line cell used both inside the `grinch-arena/v1` matrix document
+/// and as the payload of `grinch-campaign/v1` journal records — one
+/// serializer, so a journaled cell re-emits byte-identically into the
+/// final matrix.
+pub fn write_cell(w: &mut ObjWriter, cell: &CellResult) {
     w.str("defense", &cell.defense)
         .str("attack", &cell.attack)
         .f64("noise", cell.noise)
@@ -256,24 +245,9 @@ pub fn cell_json(cell: &CellResult) -> String {
         "mean_residual_entropy_bits",
         cell.mean_residual_entropy_bits,
     );
-    w.finish()
 }
 
-fn str_array(items: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in items.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push('"');
-        grinch_telemetry::json::escape_into(&mut out, s);
-        out.push('"');
-    }
-    out.push(']');
-    out
-}
-
-/// Parses one cell object — the inverse of [`cell_json`], shared by the
+/// Parses one cell object — the inverse of [`write_cell`], shared by the
 /// matrix parser and the campaign journal loader.
 pub fn parse_cell(v: &JsonValue) -> Result<CellResult, String> {
     let str_field = |k: &str| {
@@ -353,6 +327,27 @@ mod tests {
         let back = ArenaMatrix::from_json(&json).expect("parses");
         assert_eq!(back, m);
         assert_eq!(back.to_json(), json, "re-serialization is byte-stable");
+        let empty = ArenaMatrix {
+            cells: Vec::new(),
+            ..m
+        }
+        .to_json();
+        assert_eq!(
+            empty,
+            concat!(
+                "{\n",
+                "  \"schema\": \"grinch-arena/v1\",\n",
+                "  \"seed\": 41246,\n",
+                "  \"trials\": 2,\n",
+                "  \"max_stage_encryptions\": 2500,\n",
+                "  \"defenses\": [\"baseline\", \"partition\"],\n",
+                "  \"attacks\": [\"flush-reload\", \"prime-probe\"],\n",
+                "  \"noise_levels\": [0.0],\n",
+                "  \"cells\": [\n",
+                "  ]\n",
+                "}\n",
+            )
+        );
     }
 
     #[test]

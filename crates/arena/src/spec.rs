@@ -10,7 +10,7 @@
 
 use cache_sim::{splitmix64, CacheConfig, IndexMapping, WayPartition};
 use grinch::oracle::ProbeStrategy;
-use grinch_telemetry::json::{self, parse, JsonValue, ObjWriter};
+use grinch_telemetry::json::{parse, JsonValue, Layout, ObjWriter};
 
 /// Schema tag of the canonical config-identity document
 /// ([`CampaignConfig::config_json`]).
@@ -244,21 +244,17 @@ impl CampaignConfig {
     /// in `jobs` share an identity (and hence a campaign fingerprint and
     /// journal).
     pub fn config_json(&self) -> String {
-        let defenses: Vec<String> = self.defenses.iter().map(|d| d.name()).collect();
-        let attacks: Vec<String> = self.attacks.iter().map(|a| a.name().to_string()).collect();
-        let mut noise = String::from("[");
-        for (i, p) in self.noise_levels.iter().enumerate() {
-            if i > 0 {
-                noise.push(',');
-            }
-            json::write_f64(&mut noise, *p);
-        }
-        noise.push(']');
         let mut w = ObjWriter::new();
         w.str("schema", CONFIG_SCHEMA)
-            .raw("defenses", &str_array(&defenses))
-            .raw("attacks", &str_array(&attacks))
-            .raw("noise_levels", &noise)
+            .arr("defenses", Layout::Compact, |a| {
+                self.defenses.iter().for_each(|d| a.str(&d.name()));
+            })
+            .arr("attacks", Layout::Compact, |a| {
+                self.attacks.iter().for_each(|at| a.str(at.name()));
+            })
+            .arr("noise_levels", Layout::Compact, |a| {
+                self.noise_levels.iter().for_each(|p| a.f64(*p));
+            })
             .u64("trials", self.trials as u64)
             .u64("seed", self.seed)
             .u64("max_stage_encryptions", self.max_stage_encryptions);
@@ -337,20 +333,6 @@ impl CampaignConfig {
     pub fn fingerprint(&self) -> String {
         grinch_obs::history::fingerprint(&[&self.config_json()])
     }
-}
-
-fn str_array(items: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        json::escape_into(&mut out, s);
-        out.push('"');
-    }
-    out.push(']');
-    out
 }
 
 #[cfg(test)]

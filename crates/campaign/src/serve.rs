@@ -34,7 +34,7 @@ use crate::shard::ShardPlan;
 use grinch_arena::journal::{run_journaled, JournalState};
 use grinch_arena::{CampaignConfig, Metric};
 use grinch_obs::{HttpRequest, HttpResponse, LiveServer, Router};
-use grinch_telemetry::json::ObjWriter;
+use grinch_telemetry::json::{Layout, ObjWriter};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -283,18 +283,15 @@ fn router(opts: &ServeOptions, registry: Arc<Mutex<Registry>>) -> Router {
         })
         .get("/campaigns", move |_| {
             let reg = list_reg.lock().expect("registry poisoned");
-            let campaigns: Vec<String> = reg
-                .entries
-                .iter()
-                .map(|(id, entry)| {
-                    let mut w = ObjWriter::new();
-                    w.str("campaign_id", id).str("state", entry.phase.name());
-                    w.finish()
-                })
-                .collect();
             let mut w = ObjWriter::new();
-            w.raw("campaigns", &format!("[{}]", campaigns.join(",")))
-                .u64("queue_depth", reg.queue.len() as u64);
+            w.arr("campaigns", Layout::Compact, |a| {
+                for (id, entry) in &reg.entries {
+                    a.obj(Layout::Compact, |w| {
+                        w.str("campaign_id", id).str("state", entry.phase.name());
+                    });
+                }
+            })
+            .u64("queue_depth", reg.queue.len() as u64);
             HttpResponse::json(200, format!("{}\n", w.finish()))
         })
         .get_prefix("/campaigns/", move |req: &HttpRequest| {
@@ -496,7 +493,9 @@ fn status_json(
     if let Phase::Failed(e) = phase {
         w.str("error", e);
     }
-    w.raw("shards", &format!("[{}]", shards.join(",")));
+    w.arr("shards", Layout::Compact, |a| {
+        shards.iter().for_each(|s| a.raw(s))
+    });
     format!("{}\n", w.finish())
 }
 
@@ -735,6 +734,13 @@ mod tests {
 
         let (code, _, body) = http_post(&addr, "/campaigns", "not json").expect("POST junk");
         assert_eq!(code, 400, "{body}");
+        // Nesting far past the parser's depth bound, inside the body limit:
+        // a 400, and the server is still up.
+        let deep = "[".repeat(65_000);
+        let (code, _, body) = http_post(&addr, "/campaigns", &deep).expect("POST deep");
+        assert_eq!(code, 400, "{body}");
+        let (code, body) = http_get(&addr, "/healthz").expect("GET healthz");
+        assert_eq!(code, 200, "{body}");
         let (code, body) = http_get(&addr, "/campaigns/feedfacedeadbeef").expect("GET unknown");
         assert_eq!(code, 404, "{body}");
         let (code, _, _) = http_post(&addr, "/metrics", "").expect("POST /metrics");

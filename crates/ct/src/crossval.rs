@@ -21,8 +21,9 @@
 //! (undefended minus defended) and whether the defense pushed the channel
 //! below the leak threshold.
 
-use crate::report::{json_string, Report, Severity};
+use crate::report::{Report, Severity};
 use grinch_obs::leakage::stage_leakage;
+use grinch_telemetry::json::{Layout, ObjWriter};
 use grinch_telemetry::Snapshot;
 
 /// Joined static/empirical verdict for one implementation file.
@@ -117,36 +118,26 @@ impl CrossCheck {
     /// fields are additive: they only appear when a defended trace was
     /// supplied, so v1 consumers keep parsing.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"schema\": \"grinch-ct-crossval/v1\",\n  \"file\": {},\n  \
-             \"static_leak\": {},\n  \"static_findings\": {},\n  \
-             \"max_mi_bits\": {:.6},\n  \"stages\": {},\n  \
-             \"threshold\": {},\n  \"empirical_leak\": {},\n  \"agree\": {}",
-            json_string(&self.file),
-            self.static_leak,
-            self.static_findings,
-            self.max_mi_bits,
-            self.stages,
-            self.threshold,
-            self.empirical_leak(),
-            self.agrees()
-        );
+        let mut w = ObjWriter::with_layout(Layout::Lines);
+        w.str("schema", "grinch-ct-crossval/v1")
+            .str("file", &self.file)
+            .bool("static_leak", self.static_leak)
+            .u64("static_findings", self.static_findings as u64)
+            .raw("max_mi_bits", &format!("{:.6}", self.max_mi_bits))
+            .u64("stages", self.stages as u64)
+            .raw("threshold", &self.threshold.to_string())
+            .bool("empirical_leak", self.empirical_leak())
+            .bool("agree", self.agrees());
         if let Some(d) = self.defended {
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(
-                    ",\n  \"defended_max_mi_bits\": {:.6},\n  \
-                     \"defended_stages\": {},\n  \"mi_drop_bits\": {:.6},\n  \
-                     \"defense_effective\": {}",
-                    d.max_mi_bits,
-                    d.stages,
-                    self.mi_drop_bits().unwrap_or(0.0),
-                    self.defense_effective() == Some(true)
-                ),
-            );
+            w.raw("defended_max_mi_bits", &format!("{:.6}", d.max_mi_bits))
+                .u64("defended_stages", d.stages as u64)
+                .raw(
+                    "mi_drop_bits",
+                    &format!("{:.6}", self.mi_drop_bits().unwrap_or(0.0)),
+                )
+                .bool("defense_effective", self.defense_effective() == Some(true));
         }
-        out.push_str("\n}\n");
-        out
+        w.finish() + "\n"
     }
 
     /// Attaches the empirical verdict of a defended-platform trace.
@@ -254,6 +245,22 @@ mod tests {
             !json.contains("defended"),
             "no defended fields without a defended trace"
         );
+        assert_eq!(
+            json,
+            concat!(
+                "{\n",
+                "  \"schema\": \"grinch-ct-crossval/v1\",\n",
+                "  \"file\": \"table.rs\",\n",
+                "  \"static_leak\": true,\n",
+                "  \"static_findings\": 1,\n",
+                "  \"max_mi_bits\": 2.000000,\n",
+                "  \"stages\": 1,\n",
+                "  \"threshold\": 0.05,\n",
+                "  \"empirical_leak\": true,\n",
+                "  \"agree\": true\n",
+                "}\n",
+            )
+        );
     }
 
     #[test]
@@ -272,6 +279,26 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"defense_effective\": true"), "{json}");
+        assert_eq!(
+            json,
+            concat!(
+                "{\n",
+                "  \"schema\": \"grinch-ct-crossval/v1\",\n",
+                "  \"file\": \"table.rs\",\n",
+                "  \"static_leak\": true,\n",
+                "  \"static_findings\": 1,\n",
+                "  \"max_mi_bits\": 2.000000,\n",
+                "  \"stages\": 1,\n",
+                "  \"threshold\": 0.05,\n",
+                "  \"empirical_leak\": true,\n",
+                "  \"agree\": true,\n",
+                "  \"defended_max_mi_bits\": 0.000000,\n",
+                "  \"defended_stages\": 1,\n",
+                "  \"mi_drop_bits\": 2.000000,\n",
+                "  \"defense_effective\": true\n",
+                "}\n",
+            )
+        );
     }
 
     #[test]

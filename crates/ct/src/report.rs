@@ -10,6 +10,7 @@
 //! engine) are not cache leaks at all — they threaten the repo's
 //! byte-identity invariants — and carry their own `hazard` severity.
 
+use grinch_telemetry::json::{Layout, ObjWriter};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -248,80 +249,65 @@ impl Report {
     /// objects are rendered exactly as in v1 so pinned verdicts carry over
     /// byte-for-byte.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"grinch-ct-report/v2\",\n");
-        out.push_str(&format!(
-            "  \"engine\": {},\n",
-            json_string(self.engine.as_str())
-        ));
-        out.push_str(&format!("  \"target\": {},\n", json_string(&self.target)));
-        out.push_str(&format!("  \"line_bytes\": {},\n", self.line_bytes));
-        out.push_str(&format!(
-            "  \"files\": [{}],\n",
-            self.files
-                .iter()
-                .map(|f| json_string(f))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        let leaks = self
-            .active()
-            .filter(|f| f.severity == Severity::Leak)
-            .count();
-        let line_safe = self
-            .active()
-            .filter(|f| f.severity == Severity::LineSafe)
-            .count();
-        let hazards = self
-            .active()
-            .filter(|f| f.severity == Severity::Hazard)
-            .count();
-        let suppressed = self.findings.len() - self.active().count();
-        out.push_str(&format!(
-            "  \"counts\": {{\"leak\": {leaks}, \"line_safe\": {line_safe}, \"hazard\": {hazards}, \"suppressed\": {suppressed}}},\n"
-        ));
-        out.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"file\": {}, ", json_string(&f.file)));
-            out.push_str(&format!("\"line\": {}, ", f.line));
-            out.push_str(&format!("\"kind\": {}, ", json_string(f.kind.as_str())));
-            out.push_str(&format!("\"function\": {}, ", json_string(&f.function)));
-            match &f.table {
-                Some(t) => out.push_str(&format!("\"table\": {}, ", json_string(t))),
-                None => out.push_str("\"table\": null, "),
-            }
-            match f.table_bytes {
-                Some(b) => out.push_str(&format!("\"table_bytes\": {b}, ")),
-                None => out.push_str("\"table_bytes\": null, "),
-            }
-            out.push_str(&format!(
-                "\"severity\": {}, ",
-                json_string(f.severity.as_str())
-            ));
-            match &f.suppressed {
-                Some(r) => out.push_str(&format!("\"suppressed\": {}, ", json_string(r))),
-                None => out.push_str("\"suppressed\": null, "),
-            }
-            out.push_str(&format!("\"detail\": {}, ", json_string(&f.detail)));
-            out.push_str(&format!(
-                "\"provenance\": [{}]",
-                f.provenance
-                    .iter()
-                    .map(|p| json_string(p))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-            out.push('}');
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        let count = |sev: Severity| self.active().filter(|f| f.severity == sev).count() as u64;
+        let mut w = ObjWriter::with_layout(Layout::Lines);
+        w.str("schema", "grinch-ct-report/v2")
+            .str("engine", self.engine.as_str())
+            .str("target", &self.target)
+            .u64("line_bytes", self.line_bytes)
+            .arr("files", Layout::Spaced, |a| {
+                self.files.iter().for_each(|f| a.str(f));
+            })
+            .obj("counts", Layout::Spaced, |o| {
+                o.u64("leak", count(Severity::Leak))
+                    .u64("line_safe", count(Severity::LineSafe))
+                    .u64("hazard", count(Severity::Hazard))
+                    .u64(
+                        "suppressed",
+                        (self.findings.len() - self.active().count()) as u64,
+                    );
+            })
+            .arr("findings", list_layout(self.findings.len()), |a| {
+                for f in &self.findings {
+                    a.obj(Layout::Spaced, |o| f.write(o));
+                }
+            });
+        w.finish() + "\n"
+    }
+}
+
+/// The layout of a report list: one item per line, or `[]` when empty.
+pub(crate) fn list_layout(len: usize) -> Layout {
+    if len == 0 {
+        Layout::Spaced
+    } else {
+        Layout::Lines
+    }
+}
+
+impl Finding {
+    fn write(&self, o: &mut ObjWriter) {
+        o.str("file", &self.file)
+            .u64("line", u64::from(self.line))
+            .str("kind", self.kind.as_str())
+            .str("function", &self.function);
+        match &self.table {
+            Some(t) => o.str("table", t),
+            None => o.null("table"),
+        };
+        match self.table_bytes {
+            Some(b) => o.u64("table_bytes", b),
+            None => o.null("table_bytes"),
+        };
+        o.str("severity", self.severity.as_str());
+        match &self.suppressed {
+            Some(r) => o.str("suppressed", r),
+            None => o.null("suppressed"),
+        };
+        o.str("detail", &self.detail)
+            .arr("provenance", Layout::Spaced, |a| {
+                self.provenance.iter().for_each(|p| a.str(p));
+            });
     }
 }
 
@@ -371,25 +357,6 @@ impl fmt::Display for Report {
         }
         Ok(())
     }
-}
-
-/// Escapes a string for JSON output.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -13,10 +13,12 @@
 //!   (`kind: "inSource"`), which GitHub hides by default — exactly the
 //!   semantics of `// ct-allow:` / `// det-allow:`.
 //!
-//! Rendering is hand-rolled (same zero-dependency policy as the JSON
-//! report) and deterministic: rules sorted by id, results in report order.
+//! Rendering goes through the workspace's JSON writer, like the JSON
+//! report, and is deterministic: rules sorted by id, results in report
+//! order.
 
-use crate::report::{json_string, Finding, FindingKind, Report, Severity};
+use crate::report::{list_layout, Finding, FindingKind, Report, Severity};
+use grinch_telemetry::json::{Layout, ObjWriter};
 use std::collections::BTreeMap;
 
 /// Human-oriented one-line description per rule, shown by SARIF viewers.
@@ -49,66 +51,70 @@ pub fn to_sarif(report: &Report) -> String {
     for f in &report.findings {
         kinds.insert(f.kind.as_str(), f.kind);
     }
-    let mut out = String::from("{\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"runs\": [\n    {\n");
-    out.push_str("      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"grinch-ct\",\n");
-    out.push_str(&format!(
-        "          \"informationUri\": \"https://example.invalid/grinch-ct\",\n          \"rules\": [{}]\n",
-        kinds
-            .iter()
-            .map(|(id, kind)| format!(
-                "\n            {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}}}",
-                json_string(id),
-                json_string(rule_description(*kind))
-            ))
-            .collect::<Vec<_>>()
-            .join(",")
-            + if kinds.is_empty() { "" } else { "\n          " }
-    ));
-    out.push_str("        }\n      },\n");
-    out.push_str("      \"results\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n        ");
-        out.push_str(&result_json(f));
-    }
-    if !report.findings.is_empty() {
-        out.push_str("\n      ");
-    }
-    out.push_str("]\n    }\n  ]\n}\n");
-    out
+    let mut w = ObjWriter::with_layout(Layout::Lines);
+    w.str("version", "2.1.0")
+        .str("$schema", "https://json.schemastore.org/sarif-2.1.0.json")
+        .arr("runs", Layout::Lines, |runs| {
+            runs.obj(Layout::Lines, |run| {
+                run.obj("tool", Layout::Lines, |tool| {
+                    tool.obj("driver", Layout::Lines, |driver| {
+                        driver
+                            .str("name", "grinch-ct")
+                            .str("informationUri", "https://example.invalid/grinch-ct")
+                            .arr("rules", list_layout(kinds.len()), |a| {
+                                for (id, kind) in &kinds {
+                                    a.obj(Layout::Spaced, |rule| {
+                                        rule.str("id", id).obj(
+                                            "shortDescription",
+                                            Layout::Spaced,
+                                            |d| {
+                                                d.str("text", rule_description(*kind));
+                                            },
+                                        );
+                                    });
+                                }
+                            });
+                    });
+                })
+                .arr("results", list_layout(report.findings.len()), |a| {
+                    for f in &report.findings {
+                        a.obj(Layout::Spaced, |o| write_result(o, f));
+                    }
+                });
+            });
+        });
+    w.finish() + "\n"
 }
 
-fn result_json(f: &Finding) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"ruleId\": {}, ", json_string(f.kind.as_str())));
-    out.push_str(&format!("\"level\": {}, ", json_string(level(f.severity))));
+fn write_result(o: &mut ObjWriter, f: &Finding) {
     let message = match f.provenance.first() {
         Some(root) => format!("{} ({}) [{}]", f.detail, f.function, root),
         None => format!("{} ({})", f.detail, f.function),
     };
-    out.push_str(&format!(
-        "\"message\": {{\"text\": {}}}, ",
-        json_string(&message)
-    ));
-    out.push_str(&format!(
-        "\"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \"region\": {{\"startLine\": {}}}}}}}]",
-        json_string(&f.file),
-        f.line
-    ));
+    o.str("ruleId", f.kind.as_str())
+        .str("level", level(f.severity))
+        .obj("message", Layout::Spaced, |m| {
+            m.str("text", &message);
+        })
+        .arr("locations", Layout::Spaced, |a| {
+            a.obj(Layout::Spaced, |loc| {
+                loc.obj("physicalLocation", Layout::Spaced, |p| {
+                    p.obj("artifactLocation", Layout::Spaced, |u| {
+                        u.str("uri", &f.file);
+                    })
+                    .obj("region", Layout::Spaced, |r| {
+                        r.u64("startLine", u64::from(f.line));
+                    });
+                });
+            });
+        });
     if let Some(reason) = &f.suppressed {
-        out.push_str(&format!(
-            ", \"suppressions\": [{{\"kind\": \"inSource\", \"justification\": {}}}]",
-            json_string(reason)
-        ));
+        o.arr("suppressions", Layout::Spaced, |a| {
+            a.obj(Layout::Spaced, |s| {
+                s.str("kind", "inSource").str("justification", reason);
+            });
+        });
     }
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
@@ -168,6 +174,33 @@ mod tests {
         let sarif = to_sarif(&sample());
         assert!(sarif.contains("\"suppressions\": [{\"kind\": \"inSource\""));
         assert!(sarif.contains("\"justification\": \"reviewed\""));
+        assert_eq!(
+            sarif,
+            concat!(
+                "{\n",
+                "  \"version\": \"2.1.0\",\n",
+                "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n",
+                "  \"runs\": [\n",
+                "    {\n",
+                "      \"tool\": {\n",
+                "        \"driver\": {\n",
+                "          \"name\": \"grinch-ct\",\n",
+                "          \"informationUri\": \"https://example.invalid/grinch-ct\",\n",
+                "          \"rules\": [\n",
+                "            {\"id\": \"secret-branch\", \"shortDescription\": {\"text\": \"Secret-dependent branch condition\"}},\n",
+                "            {\"id\": \"secret-index\", \"shortDescription\": {\"text\": \"Secret-dependent array or table index\"}}\n",
+                "          ]\n",
+                "        }\n",
+                "      },\n",
+                "      \"results\": [\n",
+                "        {\"ruleId\": \"secret-index\", \"level\": \"error\", \"message\": {\"text\": \"secret-dependent index (f) [secret `key`]\"}, \"locations\": [{\"physicalLocation\": {\"artifactLocation\": {\"uri\": \"src/table.rs\"}, \"region\": {\"startLine\": 28}}}]},\n",
+                "        {\"ruleId\": \"secret-branch\", \"level\": \"error\", \"message\": {\"text\": \"secret-dependent index (f) [secret `key`]\"}, \"locations\": [{\"physicalLocation\": {\"artifactLocation\": {\"uri\": \"src/table.rs\"}, \"region\": {\"startLine\": 28}}}], \"suppressions\": [{\"kind\": \"inSource\", \"justification\": \"reviewed\"}]}\n",
+                "      ]\n",
+                "    }\n",
+                "  ]\n",
+                "}\n",
+            )
+        );
     }
 
     #[test]
@@ -177,5 +210,26 @@ mod tests {
         assert!(sarif.contains("\"rules\": []"));
         assert!(sarif.contains("\"results\": []"));
         assert_eq!(sarif, to_sarif(&r), "deterministic");
+        assert_eq!(
+            sarif,
+            concat!(
+                "{\n",
+                "  \"version\": \"2.1.0\",\n",
+                "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n",
+                "  \"runs\": [\n",
+                "    {\n",
+                "      \"tool\": {\n",
+                "        \"driver\": {\n",
+                "          \"name\": \"grinch-ct\",\n",
+                "          \"informationUri\": \"https://example.invalid/grinch-ct\",\n",
+                "          \"rules\": []\n",
+                "        }\n",
+                "      },\n",
+                "      \"results\": []\n",
+                "    }\n",
+                "  ]\n",
+                "}\n",
+            )
+        );
     }
 }

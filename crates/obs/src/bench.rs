@@ -14,10 +14,9 @@
 //! per-run noise the heatmap and leakage profilers want, not the stable
 //! figures a regression gate should pin.
 
-use std::fmt::Write as _;
 use std::path::Path;
 
-use grinch_telemetry::json::{parse, JsonValue, ObjWriter};
+use grinch_telemetry::json::{parse, JsonValue, Layout, ObjWriter};
 use grinch_telemetry::Snapshot;
 
 /// Schema identifier stamped into every report.
@@ -99,6 +98,19 @@ impl WallSection {
         match self.batch_width {
             Some(w) => format!("{}@b{}", self.name, w),
             None => self.name.clone(),
+        }
+    }
+
+    /// Writes the section's fields into an open object — the form both the
+    /// bench report and the ledger record carry, keyed by section name.
+    pub(crate) fn write(&self, w: &mut ObjWriter) {
+        w.f64("wall_ns", self.wall_ns)
+            .f64("throughput", self.throughput);
+        if let Some(rate) = &self.rate {
+            w.str("rate", rate);
+        }
+        if let Some(width) = self.batch_width {
+            w.f64("batch_width", width);
         }
     }
 }
@@ -229,57 +241,24 @@ impl BenchReport {
     /// Serializes the report as pretty-stable JSON (one metric per line,
     /// name-sorted — diffs in version control stay readable).
     pub fn to_json(&self) -> String {
-        let mut metrics_json = String::from("{");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                metrics_json.push(',');
-            }
-            metrics_json.push_str("\n    ");
-            let mut cell = String::new();
-            grinch_telemetry::json::escape_into(&mut cell, name);
-            let _ = write!(metrics_json, "\"{cell}\": ");
-            grinch_telemetry::json::write_f64(&mut metrics_json, *value);
-        }
-        metrics_json.push_str("\n  }");
-        let mut w = ObjWriter::new();
-        w.str("schema", SCHEMA).str("name", &self.name);
-        w.raw("metrics", &metrics_json);
+        let mut w = ObjWriter::with_layout(Layout::Stacked);
+        w.str("schema", SCHEMA)
+            .str("name", &self.name)
+            .obj("metrics", Layout::Lines, |o| {
+                for (name, value) in &self.metrics {
+                    o.f64(name, *value);
+                }
+            });
         if !self.wall.is_empty() {
             // Additive block: reports without wall timings serialize
             // exactly as before, so existing baselines stay byte-stable.
-            let mut wall_json = String::from("{");
-            for (i, section) in self.wall.iter().enumerate() {
-                if i > 0 {
-                    wall_json.push(',');
+            w.obj("wall", Layout::Lines, |o| {
+                for section in &self.wall {
+                    o.obj(&section.name, Layout::Spaced, |o| section.write(o));
                 }
-                wall_json.push_str("\n    ");
-                let mut cell = String::new();
-                grinch_telemetry::json::escape_into(&mut cell, &section.name);
-                let _ = write!(wall_json, "\"{cell}\": {{\"wall_ns\": ");
-                grinch_telemetry::json::write_f64(&mut wall_json, section.wall_ns);
-                wall_json.push_str(", \"throughput\": ");
-                grinch_telemetry::json::write_f64(&mut wall_json, section.throughput);
-                if let Some(rate) = &section.rate {
-                    let mut r = String::new();
-                    grinch_telemetry::json::escape_into(&mut r, rate);
-                    let _ = write!(wall_json, ", \"rate\": \"{r}\"");
-                }
-                if let Some(width) = section.batch_width {
-                    wall_json.push_str(", \"batch_width\": ");
-                    grinch_telemetry::json::write_f64(&mut wall_json, width);
-                }
-                wall_json.push('}');
-            }
-            wall_json.push_str("\n  }");
-            w.raw("wall", &wall_json);
+            });
         }
-        // Re-indent the outer object for readability.
-        let flat = w.finish();
-        flat.replacen("{\"schema\"", "{\n  \"schema\"", 1)
-            .replacen(",\"name\"", ",\n  \"name\"", 1)
-            .replacen(",\"metrics\"", ",\n  \"metrics\"", 1)
-            .replacen(",\"wall\"", ",\n  \"wall\"", 1)
-            + "\n"
+        w.finish() + "\n"
     }
 
     /// Parses a report previously produced by [`BenchReport::to_json`].
@@ -510,6 +489,28 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"rate\": \"cells/sec\""));
         assert!(json.contains("\"batch_width\": 16"));
+        assert_eq!(
+            json,
+            concat!(
+                "{\n",
+                "  \"schema\":\"grinch-bench-report/v1\",\n",
+                "  \"name\":\"unit\",\n",
+                "  \"metrics\":{\n",
+                "    \"attack.entropy_bits.stage1\": 2.5,\n",
+                "    \"attack.probes\": 4000.0,\n",
+                "    \"attack.stage1.probes\": 1000.0,\n",
+                "    \"cache.l1.hit_rate\": 0.75,\n",
+                "    \"cache.l1.hits\": 300.0,\n",
+                "    \"cache.l1.misses\": 100.0,\n",
+                "    \"hierarchy.read_cycles.count\": 2.0,\n",
+                "    \"hierarchy.read_cycles.mean\": 6.0,\n",
+                "    \"sim_time_ns\": 1000000.0\n",
+                "  },\n",
+                "  \"wall\":{\n",
+                "    \"cells\": {\"wall_ns\": 1000000000.0, \"throughput\": 128.0, \"rate\": \"cells/sec\", \"batch_width\": 16.0}\n",
+                "  }}\n",
+            )
+        );
         let back = BenchReport::from_json(&json).expect("parses");
         assert_eq!(back, report);
         assert_eq!(back.wall[0].rate.as_deref(), Some("cells/sec"));

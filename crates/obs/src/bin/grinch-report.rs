@@ -334,7 +334,7 @@ fn cmd_bench(mut args: Vec<String>) -> Result<ExitCode, String> {
     if traces.is_empty() {
         return Err(format!(
             "no *.telemetry.jsonl traces in {} — run the bench binaries first \
-             (e.g. cargo run --release -p grinch-bench --bin quickstart)",
+             (e.g. cargo run -p grinch --release --example quickstart)",
             results.display()
         ));
     }

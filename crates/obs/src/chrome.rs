@@ -12,8 +12,8 @@
 //! used here — `X`, `C` and `M` phases with `pid`/`tid`/`ts`/`dur`/`args` —
 //! loads in both viewers.
 
-use grinch_telemetry::json::ObjWriter;
-use grinch_telemetry::{FieldValue, Snapshot};
+use grinch_telemetry::json::{Layout, ObjWriter};
+use grinch_telemetry::Snapshot;
 
 /// Process id used for every event (one simulated process per trace).
 const PID: u64 = 1;
@@ -24,32 +24,26 @@ fn us(ns: u64) -> f64 {
     ns as f64 / 1000.0
 }
 
-fn field_args(fields: &[(String, FieldValue)], extra: Option<(&str, u64)>) -> String {
-    let mut w = ObjWriter::new();
-    for (k, v) in fields {
-        match v {
-            FieldValue::U64(x) => w.u64(k, *x),
-            FieldValue::I64(x) => w.i64(k, *x),
-            FieldValue::F64(x) => w.f64(k, *x),
-            FieldValue::Bool(x) => w.bool(k, *x),
-            FieldValue::Str(x) => w.str(k, x),
-        };
-    }
-    if let Some((k, v)) = extra {
-        w.u64(k, v);
-    }
-    w.finish()
-}
-
 fn metadata_event(name: &str, value: &str) -> String {
-    let mut args = ObjWriter::new();
-    args.str("name", value);
     let mut w = ObjWriter::new();
     w.str("name", name)
         .str("ph", "M")
         .u64("pid", PID)
-        .u64("tid", TID);
-    w.raw("args", &args.finish());
+        .u64("tid", TID)
+        .obj("args", Layout::Compact, |a| {
+            a.str("name", value);
+        });
+    w.finish()
+}
+
+fn counter_event(name: &str, ts: f64, value: impl FnOnce(&mut ObjWriter)) -> String {
+    let mut w = ObjWriter::new();
+    w.str("name", name)
+        .str("ph", "C")
+        .u64("pid", PID)
+        .u64("tid", TID)
+        .f64("ts", ts)
+        .obj("args", Layout::Compact, value);
     w.finish()
 }
 
@@ -57,7 +51,7 @@ fn metadata_event(name: &str, value: &str) -> String {
 ///
 /// * Every closed span becomes a complete (`"X"`) event with its simulated
 ///   start and duration; still-open spans get duration 0 and an
-///   `"open": true` argument rather than being dropped.
+///   `"open": 1` argument rather than being dropped.
 /// * Spans whose clock ran backwards (experiments that re-seed the
 ///   simulated clock per cell) are clamped to duration 0 so the file stays
 ///   loadable.
@@ -69,58 +63,45 @@ pub fn chrome_trace_json(snapshot: &Snapshot) -> String {
     events.push(metadata_event("thread_name", "attack"));
 
     for span in &snapshot.spans {
+        let dur_ns = span
+            .end_ns
+            .map(|end| end.saturating_sub(span.start_ns))
+            .unwrap_or(0);
         let mut w = ObjWriter::new();
         w.str("name", &span.name)
             .str("cat", "span")
             .str("ph", "X")
             .u64("pid", PID)
             .u64("tid", TID)
-            .f64("ts", us(span.start_ns));
-        let dur_ns = span
-            .end_ns
-            .map(|end| end.saturating_sub(span.start_ns))
-            .unwrap_or(0);
-        w.f64("dur", us(dur_ns));
-        let extra = span.end_ns.is_none().then_some(("open", 1));
-        w.raw("args", &field_args(&span.fields, extra));
+            .f64("ts", us(span.start_ns))
+            .f64("dur", us(dur_ns))
+            .obj("args", Layout::Compact, |a| {
+                span.fields.iter().for_each(|(k, v)| v.write_json(a, k));
+                if span.end_ns.is_none() {
+                    a.u64("open", 1);
+                }
+            });
         events.push(w.finish());
     }
 
     let ts = us(snapshot.sim_time_ns);
     for (name, value) in &snapshot.counters {
-        let mut args = ObjWriter::new();
-        args.u64("value", *value);
-        let mut w = ObjWriter::new();
-        w.str("name", name)
-            .str("ph", "C")
-            .u64("pid", PID)
-            .u64("tid", TID)
-            .f64("ts", ts);
-        w.raw("args", &args.finish());
-        events.push(w.finish());
+        events.push(counter_event(name, ts, |a| {
+            a.u64("value", *value);
+        }));
     }
     for (name, value) in &snapshot.gauges {
-        let mut args = ObjWriter::new();
-        args.f64("value", *value);
-        let mut w = ObjWriter::new();
-        w.str("name", name)
-            .str("ph", "C")
-            .u64("pid", PID)
-            .u64("tid", TID)
-            .f64("ts", ts);
-        w.raw("args", &args.finish());
-        events.push(w.finish());
+        events.push(counter_event(name, ts, |a| {
+            a.f64("value", *value);
+        }));
     }
 
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(e);
-    }
-    out.push_str("\n]}");
-    out
+    // One event per line with no indent: a layout of its own, so the
+    // event array is joined here rather than by the writer.
+    format!(
+        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}",
+        events.join(",\n")
+    )
 }
 
 #[cfg(test)]
@@ -156,6 +137,19 @@ mod tests {
     #[test]
     fn output_is_valid_trace_event_format() {
         let doc = chrome_trace_json(&sample().snapshot());
+        assert_eq!(
+            doc,
+            concat!(
+                "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
+                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"grinch (simulated time)\"}},\n",
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"attack\"}},\n",
+                "{\"name\":\"attack\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":1.0,\"dur\":6.0,\"args\":{\"key_bits\":128}},\n",
+                "{\"name\":\"attack.stage\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":1.0,\"dur\":5.5,\"args\":{\"round\":1}},\n",
+                "{\"name\":\"attack.probes\",\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":7.0,\"args\":{\"value\":42}},\n",
+                "{\"name\":\"attack.entropy_bits\",\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":7.0,\"args\":{\"value\":12.0}}\n",
+                "]}",
+            )
+        );
         let events = trace_events(&doc);
         assert!(events.len() >= 6, "metadata + spans + counters");
         for e in &events {

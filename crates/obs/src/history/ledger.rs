@@ -19,7 +19,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use grinch_telemetry::json::{parse, write_f64, JsonValue, ObjWriter};
+use grinch_telemetry::json::{parse, JsonValue, Layout, ObjWriter};
 
 use crate::bench::{BenchReport, WallSection};
 use crate::paths;
@@ -112,51 +112,6 @@ impl RunRecord {
     /// Serializes to one single-line JSON record (no trailing newline).
     /// Field order is fixed; parse → re-serialize is byte-identical.
     pub fn to_json(&self) -> String {
-        let mut env = String::from("{");
-        for (i, (k, v)) in self.env.iter().enumerate() {
-            if i > 0 {
-                env.push(',');
-            }
-            let mut pair = ObjWriter::new();
-            pair.str(k, v);
-            let pair = pair.finish();
-            env.push_str(&pair[1..pair.len() - 1]);
-        }
-        env.push('}');
-
-        let mut metrics = String::from("{");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                metrics.push(',');
-            }
-            metrics.push('"');
-            grinch_telemetry::json::escape_into(&mut metrics, k);
-            metrics.push_str("\":");
-            write_f64(&mut metrics, *v);
-        }
-        metrics.push('}');
-
-        let mut wall = String::from("{");
-        for (i, section) in self.wall.iter().enumerate() {
-            if i > 0 {
-                wall.push(',');
-            }
-            wall.push('"');
-            grinch_telemetry::json::escape_into(&mut wall, &section.name);
-            wall.push_str("\":");
-            let mut w = ObjWriter::new();
-            w.f64("wall_ns", section.wall_ns)
-                .f64("throughput", section.throughput);
-            if let Some(rate) = &section.rate {
-                w.str("rate", rate);
-            }
-            if let Some(width) = section.batch_width {
-                w.f64("batch_width", width);
-            }
-            wall.push_str(&w.finish());
-        }
-        wall.push('}');
-
         let mut w = ObjWriter::new();
         w.str("schema", RUN_SCHEMA)
             .str("run_id", &self.run_id)
@@ -166,15 +121,25 @@ impl RunRecord {
             Some(seed) => w.u64("campaign_seed", seed),
             None => w.null("campaign_seed"),
         };
-        w.raw("env", &env)
-            .raw("metrics", &metrics)
-            .raw("wall", &wall);
-        match &self.profile {
-            Some(digest) => {
-                let mut p = ObjWriter::new();
-                p.u64("stacks", digest.stacks).str("digest", &digest.digest);
-                w.raw("profile", &p.finish())
+        w.obj("env", Layout::Compact, |o| {
+            for (k, v) in &self.env {
+                o.str(k, v);
             }
+        })
+        .obj("metrics", Layout::Compact, |o| {
+            for (k, v) in &self.metrics {
+                o.f64(k, *v);
+            }
+        })
+        .obj("wall", Layout::Compact, |o| {
+            for section in &self.wall {
+                o.obj(&section.name, Layout::Compact, |o| section.write(o));
+            }
+        });
+        match &self.profile {
+            Some(digest) => w.obj("profile", Layout::Compact, |p| {
+                p.u64("stacks", digest.stacks).str("digest", &digest.digest);
+            }),
             None => w.null("profile"),
         };
         w.finish()
@@ -520,6 +485,25 @@ mod tests {
                 "\"wall\":{\"recovery\":{\"wall_ns\":1250000000.0,",
                 "\"throughput\":39321.6}},",
                 "\"profile\":{\"stacks\":7,\"digest\":\"00ff00ff00ff00ff\"}}"
+            )
+        );
+        // The null variants, an empty env and a rated, batched section.
+        let mut bare = sample_record();
+        bare.campaign_seed = None;
+        bare.profile = None;
+        bare.env.clear();
+        bare.wall[0] = WallSection::new("cells", 2_000_000_000, 64.0)
+            .with_rate("cells/sec")
+            .with_batch_width(16.0);
+        let json = bare.to_json();
+        assert_eq!(
+            json,
+            concat!(
+                "{\"schema\":\"grinch-run/v1\",\"run_id\":\"198f0a2b3c4-539-0\",\"name\":\"quickstart\",",
+                "\"config_fingerprint\":\"deadbeef00c0ffee\",\"campaign_seed\":null,",
+                "\"env\":{},\"metrics\":{\"attack.encryptions\":49152.0,\"attack.entropy_bits\":0.5},",
+                "\"wall\":{\"cells\":{\"wall_ns\":2000000000.0,\"throughput\":32.0,\"rate\":\"cells/sec\",",
+                "\"batch_width\":16.0}},\"profile\":null}",
             )
         );
     }

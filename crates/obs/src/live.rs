@@ -36,7 +36,7 @@ use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use grinch_telemetry::json::ObjWriter;
+use grinch_telemetry::json::{Layout, ObjWriter};
 use grinch_telemetry::DeltaSnapshot;
 
 // ---------------------------------------------------------------------------
@@ -371,8 +371,7 @@ impl WorkerView {
         self.last_beat.map(|at| at.elapsed().as_millis() as u64)
     }
 
-    fn to_json(&self) -> String {
-        let mut w = ObjWriter::new();
+    fn write(&self, w: &mut ObjWriter) {
         w.u64("id", self.id as u64)
             .u64("cells_completed", self.cells_completed)
             .u64("trials_completed", self.trials_completed)
@@ -391,7 +390,6 @@ impl WorkerView {
             None => w.null("beat_age_ms"),
         };
         w.bool("stalled", self.stalled).bool("done", self.done);
-        w.finish()
     }
 }
 
@@ -437,9 +435,12 @@ impl ProgressView {
             .u64("trials_completed", self.trials_completed)
             .u64("encryptions_total", self.encryptions_total)
             .u64("elapsed_ms", self.elapsed_ms())
-            .bool("done", self.done);
-        let workers: Vec<String> = self.workers.iter().map(WorkerView::to_json).collect();
-        w.raw("workers", &format!("[{}]", workers.join(",")));
+            .bool("done", self.done)
+            .arr("workers", Layout::Compact, |a| {
+                for worker in &self.workers {
+                    a.obj(Layout::Compact, |o| worker.write(o));
+                }
+            });
         w.finish()
     }
 }
@@ -475,25 +476,21 @@ impl LiveState {
             None => w.null("watchdog_threshold_ms"),
         };
         w.u64("stalls_flagged", self.stalls_flagged)
-            .bool("done", self.progress.done);
-        let workers: Vec<String> = self
-            .progress
-            .workers
-            .iter()
-            .map(|worker| {
-                let mut w = ObjWriter::new();
-                w.u64("id", worker.id as u64)
-                    .bool("alive", worker.done || !worker.stalled)
-                    .bool("stalled", worker.stalled)
-                    .bool("done", worker.done);
-                match worker.beat_age_ms() {
-                    Some(ms) => w.u64("beat_age_ms", ms),
-                    None => w.null("beat_age_ms"),
-                };
-                w.finish()
-            })
-            .collect();
-        w.raw("workers", &format!("[{}]", workers.join(",")));
+            .bool("done", self.progress.done)
+            .arr("workers", Layout::Compact, |a| {
+                for worker in &self.progress.workers {
+                    a.obj(Layout::Compact, |w| {
+                        w.u64("id", worker.id as u64)
+                            .bool("alive", worker.done || !worker.stalled)
+                            .bool("stalled", worker.stalled)
+                            .bool("done", worker.done);
+                        match worker.beat_age_ms() {
+                            Some(ms) => w.u64("beat_age_ms", ms),
+                            None => w.null("beat_age_ms"),
+                        };
+                    });
+                }
+            });
         w.finish()
     }
 }
@@ -1074,6 +1071,33 @@ mod tests {
         assert_eq!(health.get("status").unwrap().as_str(), Some("stalled"));
         state.progress.workers[1].done = true;
         assert!(state.healthy(), "a done worker cannot be stalled");
+
+        // Literal bytes, with the one wall-clock field (beat age) unset.
+        state.progress.workers[0].last_beat = None;
+        let progress = state.progress.to_json();
+        let health = state.health_json();
+        assert_eq!(
+            progress,
+            concat!(
+                "{\"campaign\":\"arena smoke\",\"total_cells\":4,\"cells_started\":0,\"cells_completed\":1,",
+                "\"trials_per_cell\":0,\"trials_completed\":0,\"encryptions_total\":0,",
+                "\"elapsed_ms\":0,\"done\":false,\"workers\":[{\"id\":0,\"cells_completed\":0,",
+                "\"trials_completed\":0,\"encryptions\":0,\"current_cell\":2,\"current_label\":\"baseline/flush-reload/0\",",
+                "\"current_seed\":null,\"beat_age_ms\":null,\"stalled\":false,\"done\":false},",
+                "{\"id\":1,\"cells_completed\":0,\"trials_completed\":0,\"encryptions\":0,",
+                "\"current_cell\":null,\"current_label\":\"\",\"current_seed\":null,\"beat_age_ms\":null,",
+                "\"stalled\":true,\"done\":true}]}",
+            )
+        );
+        assert_eq!(
+            health,
+            concat!(
+                "{\"status\":\"ok\",\"watchdog_threshold_ms\":5000,\"stalls_flagged\":0,",
+                "\"done\":false,\"workers\":[{\"id\":0,\"alive\":true,\"stalled\":false,",
+                "\"done\":false,\"beat_age_ms\":null},{\"id\":1,\"alive\":true,\"stalled\":true,",
+                "\"done\":true,\"beat_age_ms\":null}]}",
+            )
+        );
     }
 
     #[test]

@@ -121,9 +121,24 @@ fn analysis_subcommands_read_the_trace() {
 fn bench_gate_bootstraps_passes_and_catches_regressions() {
     let results = scratch("bench-results");
     let baselines = scratch("bench-baselines");
-    write_trace(&results.join("mini.telemetry.jsonl"));
     let results_arg = results.to_str().unwrap();
     let baselines_arg = baselines.to_str().unwrap();
+
+    // 0. No traces yet: the error names a command that produces one.
+    let out = run(&[
+        "bench",
+        "--results",
+        results_arg,
+        "--baselines",
+        baselines_arg,
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cargo run -p grinch --release --example quickstart"),
+        "stderr: {stderr}"
+    );
+    write_trace(&results.join("mini.telemetry.jsonl"));
 
     // 1. First run bootstraps the baseline and still exits 0 under --check.
     let out = run(&[

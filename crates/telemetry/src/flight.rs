@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Once;
 
-use crate::json::ObjWriter;
+use crate::json::{Layout, ObjWriter};
 use crate::Telemetry;
 
 /// Schema tag stamped into every flight dump.
@@ -188,62 +188,6 @@ impl Telemetry {
 fn render_dump(inner: &crate::Inner, name: &str) -> Option<String> {
     let ring = inner.flight.as_ref()?;
 
-    let mut open_spans = String::from("[");
-    for (i, &id) in inner.open.iter().enumerate() {
-        if i > 0 {
-            open_spans.push(',');
-        }
-        let span = &inner.spans[id];
-        let obj = {
-            let mut w = ObjWriter::new();
-            w.u64("id", id as u64)
-                .str("name", &span.name)
-                .u64("depth", span.depth as u64)
-                .u64("start_ns", span.start_ns);
-            w.finish()
-        };
-        open_spans.push_str(&obj);
-    }
-    open_spans.push(']');
-
-    let mut events = String::from("[");
-    for (i, event) in ring.events.iter().enumerate() {
-        if i > 0 {
-            events.push(',');
-        }
-        let mut w = ObjWriter::new();
-        w.u64("i", event.index).u64("t", event.sim_time_ns);
-        match event.kind {
-            RawKind::Counter { slot, value } => {
-                w.str("kind", "counter")
-                    .str("name", &inner.counters[slot as usize].name)
-                    .u64("value", value);
-            }
-            RawKind::Gauge { slot, value } => {
-                w.str("kind", "gauge")
-                    .str("name", &inner.gauges[slot as usize].name)
-                    .f64("value", value);
-            }
-            RawKind::Histogram { slot, value } => {
-                w.str("kind", "hist")
-                    .str("name", &inner.histograms[slot as usize].name)
-                    .u64("value", value);
-            }
-            RawKind::SpanOpen { id } => {
-                w.str("kind", "span_open")
-                    .str("name", &inner.spans[id].name)
-                    .u64("span", id as u64);
-            }
-            RawKind::SpanClose { id } => {
-                w.str("kind", "span_close")
-                    .str("name", &inner.spans[id].name)
-                    .u64("span", id as u64);
-            }
-        }
-        events.push_str(&w.finish());
-    }
-    events.push(']');
-
     let mut w = ObjWriter::new();
     w.str("schema", FLIGHT_SCHEMA)
         .str("name", name)
@@ -251,9 +195,54 @@ fn render_dump(inner: &crate::Inner, name: &str) -> Option<String> {
         .u64("events_total", ring.total())
         .u64("dropped", ring.dropped())
         .u64("sim_time_ns", inner.now_ns)
-        .raw("open_spans", &open_spans)
-        .raw("events", &events);
+        .arr("open_spans", Layout::Compact, |a| {
+            for &id in &inner.open {
+                let span = &inner.spans[id];
+                a.obj(Layout::Compact, |w| {
+                    w.u64("id", id as u64)
+                        .str("name", &span.name)
+                        .u64("depth", span.depth as u64)
+                        .u64("start_ns", span.start_ns);
+                });
+            }
+        })
+        .arr("events", Layout::Compact, |a| {
+            for event in &ring.events {
+                a.obj(Layout::Compact, |w| write_event(w, inner, event));
+            }
+        });
     Some(w.finish())
+}
+
+fn write_event(w: &mut ObjWriter, inner: &crate::Inner, event: &RawEvent) {
+    w.u64("i", event.index).u64("t", event.sim_time_ns);
+    match event.kind {
+        RawKind::Counter { slot, value } => {
+            w.str("kind", "counter")
+                .str("name", &inner.counters[slot as usize].name)
+                .u64("value", value);
+        }
+        RawKind::Gauge { slot, value } => {
+            w.str("kind", "gauge")
+                .str("name", &inner.gauges[slot as usize].name)
+                .f64("value", value);
+        }
+        RawKind::Histogram { slot, value } => {
+            w.str("kind", "hist")
+                .str("name", &inner.histograms[slot as usize].name)
+                .u64("value", value);
+        }
+        RawKind::SpanOpen { id } => {
+            w.str("kind", "span_open")
+                .str("name", &inner.spans[id].name)
+                .u64("span", id as u64);
+        }
+        RawKind::SpanClose { id } => {
+            w.str("kind", "span_close")
+                .str("name", &inner.spans[id].name)
+                .u64("span", id as u64);
+        }
+    }
 }
 
 struct DumpTarget {
@@ -364,6 +353,20 @@ mod tests {
         let stage_pos = open.find("\"name\":\"attack.stage\"").unwrap();
         assert!(attack_pos < stage_pos, "innermost open span renders last");
         assert_eq!(dump_event_count(&dump), Some(6)); // 2 opens + 4 metric events
+        assert_eq!(
+            dump,
+            concat!(
+                "{\"schema\":\"grinch-flight/v1\",\"name\":\"demo\",\"capacity\":16,\"events_total\":6,",
+                "\"dropped\":0,\"sim_time_ns\":10,\"open_spans\":[{\"id\":0,\"name\":\"attack\",",
+                "\"depth\":0,\"start_ns\":0},{\"id\":1,\"name\":\"attack.stage\",\"depth\":1,",
+                "\"start_ns\":10}],\"events\":[{\"i\":0,\"t\":0,\"kind\":\"span_open\",\"name\":\"attack\",",
+                "\"span\":0},{\"i\":1,\"t\":10,\"kind\":\"span_open\",\"name\":\"attack.stage\",",
+                "\"span\":1},{\"i\":2,\"t\":10,\"kind\":\"counter\",\"name\":\"probes\",\"value\":3},",
+                "{\"i\":3,\"t\":10,\"kind\":\"counter\",\"name\":\"probes\",\"value\":7},{\"i\":4,",
+                "\"t\":10,\"kind\":\"gauge\",\"name\":\"entropy\",\"value\":1.5},{\"i\":5,\"t\":10,",
+                "\"kind\":\"hist\",\"name\":\"latency\",\"value\":80}]}",
+            )
+        );
         drop(inner);
         drop(outer);
     }

@@ -1,6 +1,11 @@
-//! Minimal hand-rolled JSON support: escaping + object writing for the
-//! JSONL sink, and a small parser used to round-trip exported lines in
-//! tests and tooling. No external dependencies, no serde.
+//! The workspace's one JSON writer and parser, hand-rolled with no
+//! external dependencies and no serde.
+//!
+//! [`ObjWriter`] and [`ArrWriter`] write nested objects and arrays. Each
+//! container takes a [`Layout`], a fixed property of the document being
+//! written, so every committed artifact keeps its exact bytes. [`parse`]
+//! reads any of them back into a [`JsonValue`], and
+//! [`JsonValue::to_json`] re-renders one compactly.
 
 use std::fmt::Write as _;
 
@@ -36,92 +41,224 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Incremental writer for a single-line JSON object.
-pub struct ObjWriter {
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// How a container lays out its members. Line layouts indent members two
+/// spaces per enclosing container, so a container's own nesting depth
+/// fixes its indent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// `{"a":1,"b":[2,3]}`: one-line records (JSONL traces, journals,
+    /// ledgers, flight dumps, HTTP bodies).
+    Compact,
+    /// `{"a": 1, "b": [2, 3]}`: inline values inside multi-line documents.
+    Spaced,
+    /// One `"a": 1` member per line; the closing bracket on a line of its
+    /// own, even when there are no members.
+    Lines,
+    /// One `"a":1` member per line, with the closing bracket right after
+    /// the last member: the outer object of `grinch-bench-report/v1`.
+    Stacked,
+}
+
+/// The state both writers share: the buffer, this container's layout and
+/// depth, and whether a member has been written yet.
+struct Members {
     buf: String,
+    layout: Layout,
+    depth: usize,
     first: bool,
 }
 
-impl ObjWriter {
-    /// Opens an object.
-    pub fn new() -> Self {
+impl Members {
+    fn open(mut buf: String, layout: Layout, depth: usize, bracket: char) -> Self {
+        buf.push(bracket);
         Self {
-            buf: String::from("{"),
+            buf,
+            layout,
+            depth,
             first: true,
         }
     }
 
-    fn key(&mut self, k: &str) {
+    fn newline(&mut self, depth: usize) {
+        self.buf.push('\n');
+        for _ in 0..depth {
+            self.buf.push_str("  ");
+        }
+    }
+
+    /// Starts the next member (separator, line break, key) and returns the
+    /// buffer its value goes into.
+    fn next(&mut self, key: Option<&str>) -> &mut String {
         if !self.first {
-            self.buf.push(',');
+            self.buf.push_str(if self.layout == Layout::Spaced {
+                ", "
+            } else {
+                ","
+            });
+        }
+        if matches!(self.layout, Layout::Lines | Layout::Stacked) {
+            self.newline(self.depth + 1);
+        }
+        if let Some(key) = key {
+            write_str(&mut self.buf, key);
+            self.buf.push_str(match self.layout {
+                Layout::Compact | Layout::Stacked => ":",
+                Layout::Spaced | Layout::Lines => ": ",
+            });
         }
         self.first = false;
-        self.buf.push('"');
-        escape_into(&mut self.buf, k);
-        self.buf.push_str("\":");
+        &mut self.buf
+    }
+
+    fn close(mut self, bracket: char) -> String {
+        if self.layout == Layout::Lines {
+            self.newline(self.depth);
+        }
+        self.buf.push(bracket);
+        self.buf
+    }
+
+    /// Writes a nested object as the next member. The child owns the
+    /// buffer while `fill` runs.
+    fn obj(&mut self, key: Option<&str>, layout: Layout, fill: impl FnOnce(&mut ObjWriter)) {
+        self.next(key);
+        let buf = std::mem::take(&mut self.buf);
+        let mut child = ObjWriter(Members::open(buf, layout, self.depth + 1, '{'));
+        fill(&mut child);
+        self.buf = child.0.close('}');
+    }
+
+    /// Writes a nested array as the next member, like [`Members::obj`].
+    fn arr(&mut self, key: Option<&str>, layout: Layout, fill: impl FnOnce(&mut ArrWriter)) {
+        self.next(key);
+        let buf = std::mem::take(&mut self.buf);
+        let mut child = ArrWriter(Members::open(buf, layout, self.depth + 1, '['));
+        fill(&mut child);
+        self.buf = child.0.close(']');
+    }
+}
+
+/// Incremental writer for one JSON object, single-line by default.
+pub struct ObjWriter(Members);
+
+impl ObjWriter {
+    /// Opens a compact object.
+    pub fn new() -> Self {
+        Self::with_layout(Layout::Compact)
+    }
+
+    /// Opens an object laid out as `layout`.
+    pub fn with_layout(layout: Layout) -> Self {
+        Self(Members::open(String::new(), layout, 0, '{'))
     }
 
     /// Adds a string field.
     pub fn str(&mut self, k: &str, v: &str) -> &mut Self {
-        self.key(k);
-        self.buf.push('"');
-        escape_into(&mut self.buf, v);
-        self.buf.push('"');
+        write_str(self.0.next(Some(k)), v);
         self
     }
 
     /// Adds an unsigned integer field.
     pub fn u64(&mut self, k: &str, v: u64) -> &mut Self {
-        self.key(k);
-        let _ = write!(self.buf, "{v}");
+        let _ = write!(self.0.next(Some(k)), "{v}");
         self
     }
 
     /// Adds a signed integer field.
     pub fn i64(&mut self, k: &str, v: i64) -> &mut Self {
-        self.key(k);
-        let _ = write!(self.buf, "{v}");
+        let _ = write!(self.0.next(Some(k)), "{v}");
         self
     }
 
     /// Adds a float field.
     pub fn f64(&mut self, k: &str, v: f64) -> &mut Self {
-        self.key(k);
-        write_f64(&mut self.buf, v);
+        write_f64(self.0.next(Some(k)), v);
         self
     }
 
     /// Adds a boolean field.
     pub fn bool(&mut self, k: &str, v: bool) -> &mut Self {
-        self.key(k);
-        self.buf.push_str(if v { "true" } else { "false" });
+        self.0
+            .next(Some(k))
+            .push_str(if v { "true" } else { "false" });
         self
     }
 
     /// Adds a null field.
     pub fn null(&mut self, k: &str) -> &mut Self {
-        self.key(k);
-        self.buf.push_str("null");
+        self.0.next(Some(k)).push_str("null");
         self
     }
 
     /// Adds a pre-rendered JSON value verbatim.
     pub fn raw(&mut self, k: &str, json: &str) -> &mut Self {
-        self.key(k);
-        self.buf.push_str(json);
+        self.0.next(Some(k)).push_str(json);
         self
     }
 
-    /// Closes the object and returns the line (no trailing newline).
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
+    /// Adds a nested object laid out as `layout`, filled by `fill`.
+    pub fn obj(&mut self, k: &str, layout: Layout, fill: impl FnOnce(&mut ObjWriter)) -> &mut Self {
+        self.0.obj(Some(k), layout, fill);
+        self
+    }
+
+    /// Adds a nested array laid out as `layout`, filled by `fill`.
+    pub fn arr(&mut self, k: &str, layout: Layout, fill: impl FnOnce(&mut ArrWriter)) -> &mut Self {
+        self.0.arr(Some(k), layout, fill);
+        self
+    }
+
+    /// Closes the object and returns it (no trailing newline).
+    pub fn finish(self) -> String {
+        self.0.close('}')
     }
 }
 
 impl Default for ObjWriter {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Writer for the items of one array, handed out by [`ObjWriter::arr`]
+/// and [`ArrWriter::arr`].
+pub struct ArrWriter(Members);
+
+impl ArrWriter {
+    /// Appends a string.
+    pub fn str(&mut self, v: &str) {
+        write_str(self.0.next(None), v);
+    }
+
+    /// Appends an unsigned integer.
+    pub fn u64(&mut self, v: u64) {
+        let _ = write!(self.0.next(None), "{v}");
+    }
+
+    /// Appends a float.
+    pub fn f64(&mut self, v: f64) {
+        write_f64(self.0.next(None), v);
+    }
+
+    /// Appends a pre-rendered JSON value verbatim.
+    pub fn raw(&mut self, json: &str) {
+        self.0.next(None).push_str(json);
+    }
+
+    /// Appends an object laid out as `layout`, filled by `fill`.
+    pub fn obj(&mut self, layout: Layout, fill: impl FnOnce(&mut ObjWriter)) {
+        self.0.obj(None, layout, fill);
+    }
+
+    /// Appends an array laid out as `layout`, filled by `fill`.
+    pub fn arr(&mut self, layout: Layout, fill: impl FnOnce(&mut ArrWriter)) {
+        self.0.arr(None, layout, fill);
     }
 }
 
@@ -213,14 +350,56 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// Renders the value as compact JSON. Integer literals and key order
+    /// survived the parse, so a compact document re-renders byte-identically.
+    pub fn to_json(&self) -> String {
+        // A bracketless container: its one member is the whole document.
+        let mut root = Members {
+            buf: String::new(),
+            layout: Layout::Compact,
+            depth: 0,
+            first: true,
+        };
+        self.write(&mut root, None);
+        root.buf
+    }
+
+    fn write(&self, m: &mut Members, key: Option<&str>) {
+        match self {
+            JsonValue::Null => m.next(key).push_str("null"),
+            JsonValue::Bool(b) => m.next(key).push_str(if *b { "true" } else { "false" }),
+            JsonValue::Num(n) => write_f64(m.next(key), *n),
+            JsonValue::Int(n) => {
+                let _ = write!(m.next(key), "{n}");
+            }
+            JsonValue::BigUint(n) => {
+                let _ = write!(m.next(key), "{n}");
+            }
+            JsonValue::Str(s) => write_str(m.next(key), s),
+            JsonValue::Arr(items) => m.arr(key, Layout::Compact, |a| {
+                items.iter().for_each(|v| v.write(&mut a.0, None));
+            }),
+            JsonValue::Obj(pairs) => m.obj(key, Layout::Compact, |o| {
+                pairs.iter().for_each(|(k, v)| v.write(&mut o.0, Some(k)));
+            }),
+        }
+    }
 }
 
-/// Parses one JSON document. Returns `None` on any syntax error or
-/// trailing garbage.
+/// The deepest nesting [`parse`] accepts. The deepest document the
+/// workspace writes is SARIF, 9 levels; the bound keeps the parser's
+/// recursion to a few KiB of stack, so a hostile `[[[[...` body is a
+/// parse error rather than a stack overflow on the serve thread.
+pub const MAX_DEPTH: usize = 32;
+
+/// Parses one JSON document. Returns `None` on any syntax error,
+/// trailing garbage or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Option<JsonValue> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -231,6 +410,7 @@ pub fn parse(input: &str) -> Option<JsonValue> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -266,10 +446,21 @@ impl Parser<'_> {
             b't' => self.eat("true").map(|_| JsonValue::Bool(true)),
             b'f' => self.eat("false").map(|_| JsonValue::Bool(false)),
             b'"' => self.string().map(JsonValue::Str),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             _ => self.number(),
         }
+    }
+
+    /// Parses one container a level deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Option<JsonValue>) -> Option<JsonValue> {
+        if self.depth == MAX_DEPTH {
+            return None;
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Option<String> {
@@ -433,6 +624,71 @@ mod tests {
         assert_eq!(parse("{} extra"), None);
         assert_eq!(parse(r#"{"a"}"#), None);
         assert_eq!(parse(""), None);
+    }
+
+    #[test]
+    fn layouts_nest_with_depth_indents() {
+        let mut w = ObjWriter::with_layout(Layout::Lines);
+        w.str("k", "v")
+            .arr("lines", Layout::Lines, |a| {
+                a.obj(Layout::Spaced, |o| {
+                    o.u64("n", 1).arr("xs", Layout::Spaced, |a| {
+                        a.f64(0.5);
+                        a.str("s");
+                    });
+                });
+                a.raw("null");
+            })
+            .arr("none", Layout::Lines, |_| {})
+            .obj("compact", Layout::Compact, |o| {
+                o.bool("t", true).null("z");
+            });
+        assert_eq!(
+            w.finish(),
+            concat!(
+                "{\n",
+                "  \"k\": \"v\",\n",
+                "  \"lines\": [\n",
+                "    {\"n\": 1, \"xs\": [0.5, \"s\"]},\n",
+                "    null\n",
+                "  ],\n",
+                "  \"none\": [\n",
+                "  ],\n",
+                "  \"compact\": {\"t\":true,\"z\":null}\n",
+                "}",
+            )
+        );
+        let mut w = ObjWriter::with_layout(Layout::Stacked);
+        w.str("a", "b").obj("m", Layout::Lines, |o| {
+            o.f64("x", 1.0);
+        });
+        assert_eq!(
+            w.finish(),
+            "{\n  \"a\":\"b\",\n  \"m\":{\n    \"x\": 1.0\n  }}"
+        );
+    }
+
+    #[test]
+    fn parsed_values_re_render_byte_identically() {
+        let line = r#"{"a":[1,-2,3.5,"x\n",true,null,{}],"b":{"c":[]},"big":340282366920938463463374607431768211455}"#;
+        assert_eq!(parse(line).unwrap().to_json(), line);
+        assert_eq!(JsonValue::Str("q\"".into()).to_json(), r#""q\"""#);
+    }
+
+    #[test]
+    fn nesting_beyond_the_bound_is_rejected_without_overflow() {
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_bound).is_some());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(parse(&over), None);
+        assert_eq!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)), None);
+        // A body that fits the serve endpoint's 64 KiB limit, parsed on a
+        // thread with the default 2 MiB stack.
+        let hostile = "[".repeat(65_000);
+        let parsed = std::thread::spawn(move || parse(&hostile))
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(parsed, None);
     }
 
     #[test]

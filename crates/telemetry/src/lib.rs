@@ -89,6 +89,19 @@ pub enum FieldValue {
     Str(String),
 }
 
+impl FieldValue {
+    /// Writes the value as field `key` of an open JSON object.
+    pub fn write_json(&self, w: &mut json::ObjWriter, key: &str) {
+        match self {
+            Self::U64(v) => w.u64(key, *v),
+            Self::I64(v) => w.i64(key, *v),
+            Self::F64(v) => w.f64(key, *v),
+            Self::Bool(v) => w.bool(key, *v),
+            Self::Str(v) => w.str(key, v),
+        };
+    }
+}
+
 impl core::fmt::Display for FieldValue {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {

@@ -4,27 +4,13 @@
 use std::fmt::Write as _;
 use std::io;
 
-use crate::json::ObjWriter;
-use crate::{FieldValue, Snapshot};
+use crate::json::{Layout, ObjWriter};
+use crate::Snapshot;
 
 /// Something a [`Snapshot`] can be exported to.
 pub trait Sink {
     /// Exports one snapshot.
     fn export(&mut self, snapshot: &Snapshot) -> io::Result<()>;
-}
-
-fn field_json(fields: &[(String, FieldValue)]) -> String {
-    let mut w = ObjWriter::new();
-    for (k, v) in fields {
-        match v {
-            FieldValue::U64(x) => w.u64(k, *x),
-            FieldValue::I64(x) => w.i64(k, *x),
-            FieldValue::F64(x) => w.f64(k, *x),
-            FieldValue::Bool(x) => w.bool(k, *x),
-            FieldValue::Str(x) => w.str(k, x),
-        };
-    }
-    w.finish()
 }
 
 /// Renders a snapshot as JSONL: a `meta` line, then one line per counter,
@@ -78,15 +64,14 @@ pub fn snapshot_to_jsonl(snapshot: &Snapshot) -> String {
                 w.null("min").null("max").null("mean");
             }
         }
-        let mut buckets = String::from("[");
-        for (i, (lo, n)) in h.nonzero_buckets().iter().enumerate() {
-            if i > 0 {
-                buckets.push(',');
+        w.arr("buckets", Layout::Compact, |a| {
+            for (lo, n) in h.nonzero_buckets() {
+                a.arr(Layout::Compact, |pair| {
+                    pair.u64(lo);
+                    pair.u64(n);
+                });
             }
-            let _ = write!(buckets, "[{lo},{n}]");
-        }
-        buckets.push(']');
-        w.raw("buckets", &buckets);
+        });
         out.push_str(&w.finish());
         out.push('\n');
     }
@@ -105,7 +90,9 @@ pub fn snapshot_to_jsonl(snapshot: &Snapshot) -> String {
             Some(e) => w.u64("end_ns", e),
             None => w.null("end_ns"),
         };
-        w.raw("fields", &field_json(&span.fields));
+        w.obj("fields", Layout::Compact, |o| {
+            span.fields.iter().for_each(|(k, v)| v.write_json(o, k));
+        });
         out.push_str(&w.finish());
         out.push('\n');
     }
