@@ -6,6 +6,14 @@
 //! the recovery fails — measures what the channel *did* give up by re-running
 //! a bounded stage 1 and summing the surviving hypothesis entropy.
 //!
+//! Where the defense saturates the probe (rekey-64 and the way partition
+//! under Prime+Probe, without noise), every observation shows all monitored
+//! lines, and each stage — the recovery's and the rerun's — stops as
+//! *blind* after its silence window (`grinch::stage::silence_window`, 45
+//! observations here) instead of running to the cap. A blind stop keeps
+//! every candidate, so such a trial still fails with the full 32 residual
+//! bits, and the cell's result is what running to the cap gave.
+//!
 //! The runner is deliberately single-threaded and self-contained: the
 //! workspace telemetry registry is `Rc`-based (not `Send`), so each worker
 //! constructs its oracles locally and only the plain [`CellResult`] crosses

@@ -22,7 +22,7 @@
 //!   [`ArenaMatrix`](grinch_arena::ArenaMatrix), with identity, conflict
 //!   and coverage checks that name what is missing instead of emitting a
 //!   silently wrong matrix;
-//! * [`serve`] — the HTTP service: campaign submission over POST with a
+//! * [`serve`](mod@serve) — the HTTP service: campaign submission over POST with a
 //!   bounded queue and explicit backpressure (429 + `Retry-After`),
 //!   per-shard progress, Prometheus `/metrics`, and rendered heatmaps —
 //!   mounted on the same zero-dependency [`grinch_obs`] HTTP server the

@@ -55,7 +55,7 @@ pub struct Func {
     pub name: String,
     /// Impl type for methods (`TableGift64`), `None` for free functions.
     pub qual: Option<String>,
-    /// Parameters in order; a `self` receiver is params[0] with
+    /// Parameters in order; a `self` receiver is `params[0]` with
     /// `is_self == true`.
     pub params: Vec<Param>,
     /// Return type text, if any.
@@ -298,6 +298,8 @@ pub enum Pat {
     Slice(Vec<Pat>),
     /// `p | q`.
     Or(Vec<Pat>),
+    /// `name @ p`: binds `name` and whatever `p` binds.
+    At(String, u32, Box<Pat>),
 }
 
 impl Pat {
@@ -328,6 +330,10 @@ impl Pat {
                 }
             }
             Pat::Ref(p) => p.collect_bindings(out),
+            Pat::At(name, line, p) => {
+                out.push((name.clone(), *line));
+                p.collect_bindings(out);
+            }
         }
     }
 }
@@ -1013,7 +1019,13 @@ impl Parser {
                     Some(TokenKind::Ident(s)) if s != "_" => Some(s.clone()),
                     _ => None,
                 };
-                self.bump();
+                if matches!(self.peek(), Some(TokenKind::Ident(_))) {
+                    self.bump();
+                } else {
+                    // A destructuring parameter (`(open, close): (char,
+                    // char)`) binds no single name.
+                    self.parse_pat()?;
+                }
                 self.expect_punct(":")?;
                 let ty = self.parse_type_text()?;
                 params.push(Param {
@@ -1090,7 +1102,7 @@ impl Parser {
                 block.stmts.push(Stmt::Item);
                 continue;
             }
-            let expr = self.parse_expr(false)?;
+            let expr = self.parse_stmt_expr()?;
             if self.eat_punct(";") || block_like(&expr) {
                 // `if`/`match`/loops need no semicolon as statements; an
                 // operator continuation after them is not supported.
@@ -1117,6 +1129,34 @@ impl Parser {
             }
         }
         Ok(block)
+    }
+
+    /// An expression in statement position. A block-like one (`if`,
+    /// `match`, a loop or a block) ends at its closing brace, as in Rust:
+    /// `if c { .. } &x` is a statement followed by the expression `&x`,
+    /// not a binary `&`. Only a method chain or `?` continues it
+    /// (`match .. { .. }.unwrap()`).
+    fn parse_stmt_expr(&mut self) -> Result<Expr, ParseError> {
+        let block_start = match self.peek() {
+            Some(TokenKind::Ident(word)) => {
+                matches!(
+                    word.as_str(),
+                    "if" | "match" | "for" | "while" | "loop" | "unsafe"
+                )
+            }
+            Some(TokenKind::Open('{')) => true,
+            Some(TokenKind::Lifetime(_)) => true,
+            _ => false,
+        };
+        if block_start {
+            let start = self.pos;
+            let head = self.parse_primary(false)?;
+            if !self.at_punct(".") && !self.at_punct("?") {
+                return Ok(head);
+            }
+            self.pos = start;
+        }
+        self.parse_expr(false)
     }
 
     fn parse_one_nested_item(&mut self, file: &mut SourceFile) -> Result<(), ParseError> {
@@ -1261,7 +1301,7 @@ impl Parser {
                     let Some(TokenKind::Ident(name)) = self.bump() else {
                         return Err(self.error("expected binding after mut/ref"));
                     };
-                    return Ok(Pat::Ident(name, line));
+                    return self.finish_binding(name, line);
                 }
                 if KEYWORD_NON_BINDING.contains(&first.as_str()) {
                     self.bump();
@@ -1316,6 +1356,9 @@ impl Parser {
                     return Ok(Pat::Wild);
                 }
                 let name = path.into_iter().next().unwrap();
+                if self.at_punct("@") {
+                    return self.finish_binding(name, line);
+                }
                 if name == "None" {
                     return Ok(Pat::Wild);
                 }
@@ -1327,6 +1370,14 @@ impl Parser {
             }
             _ => Err(self.error("unsupported pattern")),
         }
+    }
+
+    /// The binding `name`, or `name @ subpattern`.
+    fn finish_binding(&mut self, name: String, line: u32) -> Result<Pat, ParseError> {
+        if self.eat_punct("@") {
+            return Ok(Pat::At(name, line, Box::new(self.parse_pat_single()?)));
+        }
+        Ok(Pat::Ident(name, line))
     }
 
     fn parse_path_segments(&mut self) -> Result<Vec<String>, ParseError> {
@@ -2199,6 +2250,46 @@ mod tests {
                    }";
         let file = parse_file(src).unwrap();
         assert_eq!(file.functions.len(), 1);
+    }
+
+    #[test]
+    fn block_like_statement_ends_before_a_tail_starting_with_ampersand() {
+        // Valid Rust: the `if` is a statement, `&s.x` the tail, not a
+        // binary `&` continuing the `if`.
+        let src = "fn f(s: &S, c: bool) -> &u8 {\n\
+                   if c { g(); }\n\
+                   &s.x\n\
+                   }";
+        let file = parse_file(src).unwrap();
+        let body = &file.functions[0].body;
+        assert!(matches!(body.stmts[..], [Stmt::Expr(Expr::If { .. })]));
+        assert!(body.tail.is_some());
+        // A method chain on a block-like head still continues it.
+        let src = "fn f(x: Option<u8>) -> u8 { match x { v => v }.unwrap(); 0 }";
+        let body = &parse_file(src).unwrap().functions[0].body;
+        assert!(matches!(body.stmts[..], [Stmt::Expr(Expr::MethodCall(..))]));
+    }
+
+    #[test]
+    fn parses_tuple_patterns_in_fn_parameters() {
+        let src = "fn pair((open, close): (char, char), n: usize) -> bool { open == close }";
+        let file = parse_file(src).unwrap();
+        let params = &file.functions[0].params;
+        assert_eq!(params.len(), 2);
+        assert_eq!(params[0].name, None);
+        assert_eq!(params[1].name.as_deref(), Some("n"));
+    }
+
+    #[test]
+    fn parses_at_bindings_over_or_patterns() {
+        let src = "fn f(c: char) -> u8 {\n\
+                   match c { d @ ('0' | '1') => d as u8, _ => 0 }\n\
+                   }";
+        let file = parse_file(src).unwrap();
+        let Some(Expr::Match { arms, .. }) = file.functions[0].body.tail.as_deref() else {
+            panic!("tail is not a match");
+        };
+        assert_eq!(arms[0].0.bindings(), [("d".to_string(), 2)]);
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub fn determinism_dir(
 }
 
 /// Reads every `.rs` file under `path` into `(label, source)` pairs, sorted
-/// by label. Errors with "no .rs sources under <path>" if none exist (a
+/// by label. Errors with `no .rs sources under <path>` if none exist (a
 /// missing directory is the same condition: nothing to analyze is never a
 /// pass).
 pub fn load_rs_sources(path: &Path) -> Result<Vec<(String, String)>, AnalysisError> {

@@ -21,6 +21,11 @@
 //! The model is deliberately simple — its purpose is to explain the *shape*
 //! of Fig. 3 (exponential in `k`) and Table I (explosive in `w`), and tests
 //! check it against the measured simulator within generous factors.
+//!
+//! The same absence probability, taken over a crafted batch's unforced
+//! accesses, bounds how long a working channel can stay silent
+//! ([`forced_batch_absence_bound`]); the stage loop stops a blind stage on
+//! it ([`crate::stage::silence_window`]).
 
 /// Probability that a line covering `entries_per_line` S-box entries is
 /// absent from an observation window of `accesses` near-uniform accesses.
@@ -45,6 +50,41 @@ pub fn window_accesses(probing_round: usize, flush: bool) -> usize {
         probing_round + 1
     };
     16 * rounds
+}
+
+/// A lower bound on the probability that a working, leaky channel shows at
+/// least one absent line in one observation of a stage-`stage_round`
+/// forced batch — the silence test's `q`.
+///
+/// The window holds `a = 16·probing_round` accesses with the flush and
+/// `16·(stage_round + probing_round)` without it, since the unflushed
+/// window also holds the earlier rounds. Each of the batch's `forced`
+/// accesses covers at most one of the `monitored_lines`, so when
+/// `forced < monitored_lines` some line is uncovered, and it is absent
+/// with probability at least `(1 − w/16)^(a − forced)` for a line of
+/// `w = entries_per_line` entries. When the forced accesses can cover
+/// every monitored line the bound is 0.
+///
+/// # Panics
+///
+/// Panics if `entries_per_line` is 0 or greater than 16.
+pub fn forced_batch_absence_bound(
+    stage_round: usize,
+    probing_round: usize,
+    flush: bool,
+    entries_per_line: usize,
+    monitored_lines: usize,
+    forced: usize,
+) -> f64 {
+    if forced >= monitored_lines {
+        return 0.0;
+    }
+    let rounds = if flush {
+        probing_round
+    } else {
+        stage_round + probing_round
+    };
+    absence_probability(entries_per_line, (16 * rounds).saturating_sub(forced))
 }
 
 /// `n`-th harmonic number.
@@ -101,6 +141,20 @@ mod tests {
         assert!((absence_probability(1, 0) - 1.0).abs() < 1e-12);
         let p = absence_probability(1, 15);
         assert!((p - (15.0f64 / 16.0).powi(15)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn forced_batch_bound_counts_the_window_and_the_forced_accesses() {
+        // Probing round 1 with flush: 16 accesses, 4 of them forced.
+        let q = forced_batch_absence_bound(1, 1, true, 1, 16, 4);
+        assert!((q - (15.0f64 / 16.0).powi(12)).abs() < 1e-12);
+        // Without the flush the earlier rounds join the window.
+        let q = forced_batch_absence_bound(3, 2, false, 2, 9, 4);
+        assert!((q - (14.0f64 / 16.0).powi(76)).abs() < 1e-15);
+        // Forced accesses that can cover every monitored line leave no
+        // line uncovered.
+        assert_eq!(forced_batch_absence_bound(1, 1, true, 8, 3, 4), 0.0);
+        assert_eq!(forced_batch_absence_bound(1, 1, true, 16, 1, 4), 0.0);
     }
 
     #[test]

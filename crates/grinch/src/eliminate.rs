@@ -42,7 +42,7 @@ fn bit_of(hypothesis: (bool, bool)) -> u8 {
 }
 
 /// The surviving `(v_bit, u_bit)` hypotheses for one target segment: a
-/// 4-bit mask, one bit per hypothesis (see [`HYPOTHESES`]), so a stage's
+/// 4-bit mask, one bit per hypothesis (see `HYPOTHESES`), so a stage's
 /// sixteen sets are plain `Copy` values.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct CandidateSet {

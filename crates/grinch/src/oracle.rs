@@ -21,7 +21,7 @@
 //! removes the key-independent first-round accesses ("Grinch with Flush").
 
 use crate::noise::NoiseChannel;
-use crate::stage::StageVictim;
+use crate::stage::{SilenceModel, StageVictim};
 use crate::target::TargetSpec;
 use cache_sim::{Cache, CacheConfig, Domain, SetGroup};
 use gift_cipher::countermeasure::{
@@ -803,6 +803,29 @@ impl StageVictim for VictimOracle {
 
     fn stage_telemetry(&self) -> Option<(grinch_telemetry::Telemetry, usize)> {
         Some((self.telemetry.clone(), self.probe_addrs.len()))
+    }
+
+    /// The model of a leaky victim with this oracle's geometry, whatever
+    /// the victim really is: the attacker cannot know a defense is there,
+    /// so a full-scan or preloading victim is judged by what a table
+    /// victim would show.
+    fn silence_model(&self, stage_round: usize, forced: usize) -> Option<SilenceModel> {
+        let entries_per_byte = match self.config.variant {
+            VictimVariant::WideLine => 2,
+            _ => 1,
+        };
+        let entries_per_line = (entries_per_byte * self.config.cache.line_bytes).min(16);
+        Some(SilenceModel {
+            lines: self.probe_addrs.len(),
+            absence_floor: crate::analysis::forced_batch_absence_bound(
+                stage_round,
+                self.config.probing_round,
+                self.config.flush_after_round1,
+                entries_per_line,
+                self.probe_addrs.len(),
+                forced,
+            ),
+        })
     }
 }
 

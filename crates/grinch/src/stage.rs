@@ -21,6 +21,14 @@
 //! handled constructively. Hypotheses that remain inseparable (e.g. a
 //! line-aligned table wider than the index range) are returned as residual
 //! candidates for the caller to brute-force against a known pair.
+//!
+//! Step 3 learns only from absent lines, so a channel that shows every
+//! monitored line (a defense saturating the probe) teaches nothing. A
+//! victim that can say what a working channel would show
+//! ([`StageVictim::silence_model`]) lets the stage stop as *blind* once the
+//! observations have stayed silent for longer than a working channel would
+//! with probability above 2^-40 ([`silence_window`]); a blind stop keeps
+//! every candidate, like the cap.
 
 use crate::craft::craft_plaintext;
 use crate::eliminate::CandidateSet;
@@ -41,6 +49,10 @@ const PATTERNS_PER_SWEEP: usize = 16;
 /// encryption cap). Coarse cache lines need rare all-miss events to
 /// eliminate wide noise lines, so patience must escalate.
 const STALL_GROWTH: u64 = 8;
+/// The blind stop's false-stop bound, in bits: a working channel stays
+/// silent for a whole [`silence_window`] with probability at most
+/// `2^-BLIND_STOP_BITS`.
+const BLIND_STOP_BITS: f64 = 40.0;
 
 /// The settings of a stage that differ between callers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,6 +196,42 @@ pub trait StageVictim {
     fn stage_telemetry(&self) -> Option<(Telemetry, usize)> {
         None
     }
+
+    /// What a working channel would show in a stage-`stage_round`
+    /// observation whose crafting forces `forced` accesses, for the blind
+    /// stop. `None`, the default, means no model: the stage runs until it
+    /// resolves, refutes every hypothesis or hits its cap.
+    fn silence_model(&self, stage_round: usize, forced: usize) -> Option<SilenceModel> {
+        let _ = (stage_round, forced);
+        None
+    }
+}
+
+/// What a working channel would show, from the victim's observation
+/// geometry ([`StageVictim::silence_model`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SilenceModel {
+    /// The monitored lines: an observation holding this many is silent.
+    pub lines: usize,
+    /// A lower bound on the probability that a working channel shows at
+    /// least one absent line in one observation (see
+    /// [`crate::analysis::forced_batch_absence_bound`]).
+    pub absence_floor: f64,
+}
+
+/// The number of consecutive silent observations after which a stage stops
+/// as blind, for a channel whose observations show an absent line with
+/// probability at least `absence_floor`: the least `n` with
+/// `(1 − absence_floor)^n ≤ 2^-40`, i.e. `ceil(40·ln2 / −ln(1 − q))`.
+///
+/// `None` when `absence_floor` is 0: a channel that may stay silent forever
+/// gives no window, and the stage never stops as blind.
+pub fn silence_window(absence_floor: f64) -> Option<u64> {
+    (absence_floor > 0.0).then(|| {
+        let window = BLIND_STOP_BITS * std::f64::consts::LN_2 / -(-absence_floor).ln_1p();
+        // `as` saturates a window beyond `u64::MAX`.
+        (window.ceil() as u64).max(1)
+    })
 }
 
 /// The result of one stage.
@@ -193,8 +241,13 @@ pub struct StageResult<K: StageKey = RoundKey64> {
     pub candidates: K::Candidates,
     /// Encryptions this stage consumed.
     pub encryptions: u64,
-    /// Whether the stage hit its encryption cap before resolving.
+    /// Whether the stage stopped before resolving: at its encryption cap,
+    /// with every hypothesis of a segment refuted, or blind.
     pub capped: bool,
+    /// Whether the stage stopped because its observations stayed silent
+    /// for a whole [`silence_window`]: the channel is blind, not short of
+    /// encryptions. Implies `capped`.
+    pub blind: bool,
 }
 
 impl<K: StageKey> StageResult<K> {
@@ -313,8 +366,18 @@ pub fn run_stage<V: StageVictim, R: Rng + ?Sized>(
             )),
         )
     });
+    let batches = V::Key::disjoint_batches(stage_round);
+    // The blind stop: the monitored-line count and the silence window,
+    // when the victim models a working channel and the window is finite.
+    let blind_stop = oracle
+        .silence_model(stage_round, batches[0].as_ref().len())
+        .and_then(|model| Some((model.lines, silence_window(model.absence_floor)?)));
+    // Consecutive observations showing every monitored line, across
+    // pattern rotations and batches.
+    let mut silent = 0u64;
     let mut candidates: <V::Key as StageKey>::Candidates = Default::default();
     let mut capped = false;
+    let mut blind = false;
     if let Some((gauge, _)) = entropy_gauge {
         telemetry.set(gauge, entropy_bits(candidates.as_ref()));
     }
@@ -324,7 +387,7 @@ pub fn run_stage<V: StageVictim, R: Rng + ?Sized>(
     let mut targets = Vec::with_capacity(8);
     let mut patterns: Vec<u8> = Vec::with_capacity(8);
 
-    'batches: for batch in V::Key::disjoint_batches(stage_round) {
+    'batches: for batch in batches {
         let batch = batch.as_ref();
         let mut stall_limit = STALL_LIMIT;
         loop {
@@ -406,6 +469,21 @@ pub fn run_stage<V: StageVictim, R: Rng + ?Sized>(
                         capped = true;
                         break 'batches;
                     }
+                    if let Some((lines, window)) = blind_stop {
+                        // Silence eliminates nothing, so stopping keeps
+                        // every candidate; a working channel would have
+                        // shown an absent line by now (2^-40 bound).
+                        silent = if observed.len() == lines {
+                            silent + 1
+                        } else {
+                            0
+                        };
+                        if silent >= window {
+                            capped = true;
+                            blind = true;
+                            break 'batches;
+                        }
+                    }
                 }
             }
             if resolved(candidates.as_ref(), batch) {
@@ -422,6 +500,7 @@ pub fn run_stage<V: StageVictim, R: Rng + ?Sized>(
         candidates,
         encryptions: spent,
         capped,
+        blind,
     }
 }
 
@@ -549,6 +628,103 @@ mod tests {
             .expect("trajectory histogram");
         assert!(trajectory.count() > 0);
         assert!(trajectory.max().unwrap() <= result.encryptions);
+    }
+
+    /// The silence window of a GIFT-64 oracle's stage-`stage_round`
+    /// observations; `u64::MAX` stands for no window.
+    fn window(config: ObservationConfig, stage_round: usize) -> u64 {
+        let oracle = VictimOracle::new(key(), config);
+        let model = oracle.silence_model(stage_round, 4).expect("modelled");
+        silence_window(model.absence_floor).unwrap_or(u64::MAX)
+    }
+
+    #[test]
+    fn silence_window_is_45_observations_at_the_ideal_setting() {
+        assert_eq!(window(ObservationConfig::ideal(), 1), 45);
+        // The flush leaves the earlier rounds out of the window, so every
+        // stage gets the same one.
+        assert_eq!(window(ObservationConfig::ideal(), 4), 45);
+        assert_eq!(silence_window(1.0), Some(1));
+    }
+
+    #[test]
+    fn silence_window_grows_with_the_probing_round_and_the_line_width() {
+        // Strictly increasing until there is no window (`u64::MAX`).
+        let increasing = |w: &[u64]| w.windows(2).all(|p| p[0] < p[1] || p[1] == u64::MAX);
+        for flush in [true, false] {
+            for stage_round in 1..=4 {
+                let at = |k: usize, words: usize| {
+                    let config = ObservationConfig::ideal()
+                        .with_flush(flush)
+                        .with_probing_round(k)
+                        .with_words_per_line(words);
+                    window(config, stage_round)
+                };
+                for words in [1, 2, 4, 8, 16] {
+                    let by_round: Vec<u64> = (1..=8).map(|k| at(k, words)).collect();
+                    assert!(
+                        increasing(&by_round),
+                        "{words}-word lines, flush {flush}, stage {stage_round}: {by_round:?}"
+                    );
+                }
+                for k in 1..=8 {
+                    let by_width = [1, 2, 4, 8, 16].map(|words| at(k, words));
+                    assert!(
+                        increasing(&by_width),
+                        "probing round {k}, flush {flush}, stage {stage_round}: {by_width:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn silence_window_is_none_when_forced_accesses_cover_every_line() {
+        assert_eq!(silence_window(0.0), None);
+        // The misaligned 16-byte table spans three 8-byte lines and two
+        // 16-byte ones: four forced accesses can cover them all.
+        for words in [8, 16] {
+            let config = ObservationConfig::ideal().with_words_per_line(words);
+            let oracle = VictimOracle::new(key(), config);
+            let model = oracle.silence_model(1, 4).expect("modelled");
+            assert_eq!(model.absence_floor, 0.0);
+            assert_eq!(silence_window(model.absence_floor), None);
+        }
+    }
+
+    #[test]
+    fn victims_without_a_model_never_stop_blind() {
+        // A victim that shows every line and has no silence model runs to
+        // its cap, as every stage did before the blind stop.
+        struct Saturated(ObservationConfig);
+        impl StageVictim for Saturated {
+            type Key = RoundKey64;
+            fn observe_stage(&mut self, _: u64, _: usize) -> ObservedLines {
+                let mut all = ObservedLines::for_config(&self.0);
+                for addr in self.0.probe_line_addrs() {
+                    all.insert(addr);
+                }
+                all
+            }
+            fn hypothesis_consistent(
+                &self,
+                _: &TargetSpec,
+                _: &ObservedLines,
+                _: bool,
+                _: bool,
+            ) -> bool {
+                true
+            }
+        }
+        let mut victim = Saturated(ObservationConfig::ideal());
+        let mut rng = StdRng::seed_from_u64(7);
+        let cfg = StageConfig::new().with_max_encryptions(500);
+        let result = run_stage(&mut victim, &[], 1, &cfg, &mut rng);
+        assert_eq!(
+            (result.encryptions, result.capped, result.blind),
+            (500, true, false)
+        );
+        assert_eq!(result.candidate_count(), 1 << 32);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   key-nibble hypotheses (the crafted forced patterns) and observed
 //!   S-box line indices, per attack stage — the quantitative "how much does
 //!   this channel leak" number;
-//! * [`dashboard`] — a text attack-progress report: entropy trajectory,
+//! * [`dashboard`](mod@dashboard) — a text attack-progress report: entropy trajectory,
 //!   per-stage probe / cycle budgets, cache hit rates;
 //! * [`matrix`] — generic labelled rows × columns heat grids (the arena's
 //!   defense × attack matrix), same ASCII/SVG idiom as [`heatmap`];
@@ -23,7 +23,7 @@
 //!   that `grinch-campaign run --live` plugs into;
 //! * [`profile`] — span-profile aggregation: per-stack self-time totals
 //!   and collapsed-stack `.folded` output for flamegraph tooling;
-//! * [`bench`] — the regression gate: aggregates a run's telemetry into a
+//! * [`bench`](mod@bench) — the regression gate: aggregates a run's telemetry into a
 //!   schema'd `BENCH_<name>.json` and compares it against committed
 //!   baselines with configurable tolerances;
 //! * [`artifacts`] — the per-run pipeline every producer calls: the

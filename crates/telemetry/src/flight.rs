@@ -13,7 +13,7 @@
 //!
 //! Design constraints, all pinned by test:
 //!
-//! * **No export perturbation.** The ring never enters [`Snapshot`]s, so
+//! * **No export perturbation.** The ring never enters [`Snapshot`](crate::Snapshot)s, so
 //!   the JSONL export is byte-identical with and without the recorder.
 //! * **No hot-path strings.** Events store slot indices / span ids; names
 //!   resolve only at dump time.

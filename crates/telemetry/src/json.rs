@@ -491,14 +491,14 @@ impl Parser<'_> {
                     _ => return None,
                 },
                 b => {
-                    // Re-read as UTF-8: back up one byte and take the char.
                     if b < 0x80 {
                         out.push(b as char);
                     } else {
-                        self.pos -= 1;
-                        let s = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                        let c = s.chars().next()?;
-                        self.pos += c.len_utf8();
+                        // Decode the character this lead byte starts, from
+                        // its own bytes only: the whole string stays
+                        // linear in its length.
+                        let c = decode_char(&self.bytes[self.pos - 1..])?;
+                        self.pos += c.len_utf8() - 1;
                         out.push(c);
                     }
                 }
@@ -580,9 +580,52 @@ impl Parser<'_> {
     }
 }
 
+/// The UTF-8 character starting at `bytes[0]`, read from its own bytes (at
+/// most four, as its lead byte says) and never from the rest of `bytes`.
+fn decode_char(bytes: &[u8]) -> Option<char> {
+    let width = match bytes.first()? {
+        0x00..=0x7f => 1,
+        0xc0..=0xdf => 2,
+        0xe0..=0xef => 3,
+        0xf0..=0xf7 => 4,
+        _ => return None,
+    };
+    std::str::from_utf8(bytes.get(..width)?)
+        .ok()?
+        .chars()
+        .next()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn non_ascii_strings_decode_each_character_from_its_own_bytes() {
+        // Every character decodes with an invalid byte right behind the
+        // string: a decoder that validated the rest of the input (the
+        // quadratic one) would refuse each of them, so each decode examined
+        // at most the character's own two bytes.
+        let mut bytes = "é".repeat(32 * 1024).into_bytes();
+        bytes.push(0xff);
+        let chars = (0..bytes.len() - 1)
+            .step_by(2)
+            .filter(|&i| decode_char(&bytes[i..]) == Some('é'))
+            .count();
+        assert_eq!(chars, 32 * 1024);
+        for (lead, c) in [("\u{7f}", '\u{7f}'), ("€", '€'), ("𝄞", '𝄞')] {
+            let mut one = lead.as_bytes().to_vec();
+            one.push(0xff);
+            assert_eq!(decode_char(&one), Some(c));
+        }
+        // A continuation byte starts no character, and a cut one is refused.
+        assert_eq!(decode_char(&[0xa9]), None);
+        assert_eq!(decode_char(&"€".as_bytes()[..2]), None);
+        // A 64 KiB string of them parses, whole.
+        let text = "é".repeat(32 * 1024);
+        let parsed = parse(&format!("\"{text}\"")).expect("parses");
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
+    }
 
     #[test]
     fn writer_escapes_and_parser_unescapes() {

@@ -6,15 +6,17 @@
 //! telemetry-enabled recovery's JSONL. A change to the stage schedule, the
 //! RNG draw order, the crafting or any victim's observation shows up here
 //! as a changed number; on a mismatch the failure message prints the
-//! freshly computed table in the same literal form.
+//! freshly computed table in the same literal form. The last two tests
+//! check the blind stop: working channels never trip it, and blind ones
+//! stop within their silence window.
 
 use gift_cipher::Key;
 use grinch::attack::{recover_full_key, AttackConfig};
 use grinch::experiments::hierarchy;
 use grinch::gift128::{recover_full_key_128, VictimOracle128};
-use grinch::oracle::{ObservationConfig, ProbeStrategy, VictimOracle};
+use grinch::oracle::{ObservationConfig, ProbeStrategy, VictimOracle, VictimVariant};
 use grinch::platform_attack::recover_round1_on_mpsoc;
-use grinch::stage::{run_stage, StageConfig};
+use grinch::stage::{run_stage, silence_window, StageConfig, StageVictim};
 use grinch_telemetry::seed::splitmix64;
 use grinch_telemetry::Telemetry;
 use rand::rngs::StdRng;
@@ -23,7 +25,12 @@ use soc_sim::platform::PlatformConfig;
 
 /// The 16 secrets every table runs over, drawn from one splitmix64 chain.
 fn keys() -> Vec<Key> {
-    (0..16u64)
+    keys_n(16)
+}
+
+/// The first `n` secrets of the splitmix64 chain.
+fn keys_n(n: u64) -> Vec<Key> {
+    (0..n)
         .map(|i| {
             let hi = splitmix64(2 * i);
             let lo = splitmix64(2 * i + 1);
@@ -303,35 +310,15 @@ fn prime_probe_cache_counters_are_pinned() {
     // capped at 300 encryptions: the literal cache counters pin the
     // Prime+Probe prime and probe reads, access for access. The undefended
     // and statically remapped stages resolve; rekeying and the partition
-    // saturate the channel, so nothing is eliminated before the cap.
+    // saturate the channel, so nothing is eliminated and the stage stops
+    // as blind after the 45-observation silence window.
     const PINS: [RowCounters; 4] = [
         ("baseline", 140, 1, [29_376, 47_040, 46_784, 0]),
         ("static-remap", 140, 1, [29_376, 47_040, 46_784, 0]),
-        ("rekey-64", 300, 4_294_967_296, [3_326, 160_130, 892, 2_554]),
-        (
-            "partition",
-            300,
-            4_294_967_296,
-            [9_584, 153_872, 153_728, 0],
-        ),
+        ("rekey-64", 45, 4_294_967_296, [526, 24_210, 130, 386]),
+        ("partition", 45, 4_294_967_296, [1_424, 23_312, 23_168, 0]),
     ];
-    let base = cache_sim::CacheConfig::grinch_default();
-    let remap = |epoch_accesses| {
-        base.with_mapping(cache_sim::IndexMapping::KeyedRemap {
-            key: 0x5eed,
-            epoch_accesses,
-        })
-    };
-    let defenses = [
-        ("baseline", base),
-        ("static-remap", remap(0)),
-        ("rekey-64", remap(64)),
-        (
-            "partition",
-            base.with_partition(cache_sim::WayPartition::even_split(base.ways)),
-        ),
-    ];
-    let got: Vec<RowCounters> = defenses
+    let got: Vec<RowCounters> = arena_defense_caches()
         .into_iter()
         .map(|(defense, cache)| {
             let config = ObservationConfig {
@@ -356,4 +343,109 @@ fn prime_probe_cache_counters_are_pinned() {
         })
         .collect();
     check("Prime+Probe cache counters", &PINS, &got);
+}
+
+/// The four Prime+Probe defense caches of the arena.
+fn arena_defense_caches() -> [(&'static str, cache_sim::CacheConfig); 4] {
+    let base = cache_sim::CacheConfig::grinch_default();
+    let remap = |epoch_accesses| {
+        base.with_mapping(cache_sim::IndexMapping::KeyedRemap {
+            key: 0x5eed,
+            epoch_accesses,
+        })
+    };
+    [
+        ("baseline", base),
+        ("static-remap", remap(0)),
+        ("rekey-64", remap(64)),
+        (
+            "partition",
+            base.with_partition(cache_sim::WayPartition::even_split(base.ways)),
+        ),
+    ]
+}
+
+#[test]
+fn working_channels_never_stop_blind() {
+    // 50 keys at probing rounds 1-3, with and without the flush, at 1- and
+    // 2-word lines, every stage fed the true earlier round keys. The
+    // window at probing round 1 with the flush is 45 observations; deeper
+    // settings have longer windows and longer stages. The 5,000-encryption
+    // cap bounds the test's time; every window shorter than the cap is
+    // exercised over each stage's whole run.
+    let secrets = keys_n(50);
+    for words in [1, 2] {
+        for probing_round in 1..=3 {
+            for flush in [true, false] {
+                let config = ObservationConfig::ideal()
+                    .with_words_per_line(words)
+                    .with_probing_round(probing_round)
+                    .with_flush(flush);
+                for (i, &secret) in secrets.iter().enumerate() {
+                    let cipher = gift_cipher::Gift64::new(secret);
+                    let truth = cipher.round_keys();
+                    let mut oracle = VictimOracle::new(secret, config.clone());
+                    for stage_round in 1..=4 {
+                        let stage = StageConfig::new()
+                            .with_max_encryptions(5_000)
+                            .with_seed(i as u64);
+                        let mut rng = StdRng::seed_from_u64(stage.seed ^ stage_round as u64);
+                        let known = &truth[..stage_round - 1];
+                        let result = run_stage(&mut oracle, known, stage_round, &stage, &mut rng);
+                        assert!(
+                            !result.blind,
+                            "key {i}, {words}-word lines, probing round {probing_round}, \
+                             flush {flush}, stage {stage_round}: a working channel stopped \
+                             blind after {} encryptions",
+                            result.encryptions
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn blind_channels_stop_within_the_window_with_every_candidate() {
+    let prime_probe = arena_defense_caches()
+        .into_iter()
+        .filter(|(name, _)| matches!(*name, "rekey-64" | "partition"))
+        .map(|(name, cache)| {
+            let config = ObservationConfig {
+                cache,
+                strategy: ProbeStrategy::PrimeProbe,
+                ..ObservationConfig::ideal()
+            };
+            (name, config)
+        });
+    let victims = [
+        ("full-scan", VictimVariant::FullScan),
+        ("preload", VictimVariant::Preload),
+    ]
+    .map(|(name, variant)| {
+        let config = ObservationConfig {
+            variant,
+            ..ObservationConfig::ideal()
+        };
+        (name, config)
+    });
+    for (name, config) in prime_probe.chain(victims) {
+        for (i, secret) in keys().into_iter().enumerate() {
+            let mut oracle = VictimOracle::new(secret, config.clone());
+            let model = oracle
+                .silence_model(1, 4)
+                .expect("the oracle models its channel");
+            let window = silence_window(model.absence_floor).expect("a finite window");
+            assert_eq!(window, 45, "{name}: probing round 1, flush, 1-word lines");
+            let stage = StageConfig::new()
+                .with_max_encryptions(20_000)
+                .with_seed(i as u64);
+            let mut rng = StdRng::seed_from_u64(stage.seed);
+            let result = run_stage(&mut oracle, &[], 1, &stage, &mut rng);
+            assert!(result.blind && result.capped, "{name}, key {i}: {result:?}");
+            assert!(result.encryptions <= window, "{name}, key {i}");
+            assert_eq!(result.candidate_count(), 1 << 32, "{name}, key {i}");
+        }
+    }
 }
