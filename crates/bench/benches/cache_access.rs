@@ -9,10 +9,11 @@
 //! one `access_batch_from` of 16 attacker lines that share a set, into an
 //! empty set (`prime_empty`), onto a primed set (`probe_hits`), into the 8
 //! attacker ways of a partitioned set (`partition_thrash`), and under a
-//! cache re-keyed every 64 accesses (`prime_rekey64`). See DESIGN.md §15.
-//! Each has a `/whole_set` twin that reads the same group with one
-//! `access_set_from`, the call the Prime+Probe oracle makes (DESIGN.md §11,
-//! "Whole-set Prime+Probe").
+//! cache re-keyed every 64 accesses (`prime_rekey64`), and onto a primed
+//! set after one victim read of the set (`probe_after_victim`, the victim
+//! read included). See DESIGN.md §15. Each has a `/whole_set` twin that
+//! reads the same group with one `access_set_from`, the call the
+//! Prime+Probe oracle makes (DESIGN.md §11, "Whole-set Prime+Probe").
 //!
 //! `reload_flush16` times Flush+Reload's reload phase: one
 //! `reload_and_flush_from` over the 16 S-box lines of the paper's layout,
@@ -116,6 +117,28 @@ fn bench_cache_access(c: &mut Criterion) {
             b.iter(|| cache.access_set_from(black_box(&whole16), Domain::Attacker))
         });
     }
+
+    // A touched set: the victim reads one line of the primed set, which
+    // displaces the oldest prime line, then the attacker reads the group.
+    let victim_line = 0x20_0000;
+    let mut touched = Cache::new(base);
+    touched.access_batch_from(&set16, Domain::Attacker, |_, _| {});
+    group.bench_function("set16/probe_after_victim", |b| {
+        b.iter(|| {
+            touched.access(black_box(victim_line));
+            touched.access_batch_from(black_box(&set16), Domain::Attacker, |_, o| {
+                black_box(o);
+            })
+        })
+    });
+    let mut touched = Cache::new(base);
+    touched.access_set_from(&whole16, Domain::Attacker);
+    group.bench_function("set16/probe_after_victim/whole_set", |b| {
+        b.iter(|| {
+            touched.access(black_box(victim_line));
+            touched.access_set_from(black_box(&whole16), Domain::Attacker)
+        })
+    });
 
     let layout = TableLayout::default();
     let sbox_lines: Vec<u64> = (0..16u8).map(|i| layout.sbox_entry_addr(i)).collect();

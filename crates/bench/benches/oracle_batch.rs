@@ -2,7 +2,7 @@
 //! `observe_stage` calls, for both probe mechanics, and for Prime+Probe
 //! also against the two defenses the arena spends its time on (way
 //! partitioning and a cache re-keyed every 64 accesses). Each monitored
-//! set is primed and probed with one `access_batch_from`, and the
+//! set is primed and probed with one `access_set_from`, and the
 //! Flush+Reload reload is one `reload_and_flush_from` — this bench is the
 //! wall-clock evidence for those seams (DESIGN.md §11, §15).
 //!

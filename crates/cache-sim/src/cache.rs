@@ -150,15 +150,29 @@ impl Ring {
         }
     }
 
-    /// Whether the ring is full and holds `lines` (one per way) from the
-    /// oldest to the newest.
+    /// The `s < width` for which the full ring holds `lines[s..]` (one
+    /// line per way in all) in order as its oldest lines and none of
+    /// `lines[..s]` among its newest `s`: the ring a read of `lines`
+    /// finds after `s` foreign reads displaced its first `s` lines.
     #[inline(always)]
-    fn holds_in_order(self, ways: &[u64], lines: &[u64]) -> bool {
+    fn displacement(self, ways: &[u64], lines: &[u64]) -> Option<usize> {
         let (head, width) = (self.head as usize, ways.len());
-        self.count as usize == width
-            && lines.len() == width
-            && ways[head..] == lines[..width - head]
-            && ways[..head] == lines[width - head..]
+        if self.count as usize != width || lines.len() != width {
+            return None;
+        }
+        let s = lines.iter().position(|&l| l == ways[head])?;
+        // From the oldest line the ring is `ways[head..]`, then
+        // `ways[..head]`; `kept` must open it and `newest` closes it.
+        let (older, newer, kept) = (&ways[head..], &ways[..head], &lines[s..]);
+        let (held, newest) = if kept.len() <= older.len() {
+            (older[..kept.len()] == *kept, [&older[kept.len()..], newer])
+        } else {
+            let (kept_older, kept_newer) = kept.split_at(older.len());
+            let held = older == kept_older && newer[..kept_newer.len()] == *kept_newer;
+            (held, [&[][..], &newer[kept_newer.len()..]])
+        };
+        let foreign = |l: &u64| !lines[..s].contains(l);
+        (held && newest.into_iter().flatten().all(foreign)).then_some(s)
     }
 
     /// Makes the line at offset `k` the newest (an LRU hit). Touching the
@@ -566,9 +580,12 @@ impl Cache {
     /// run of reads that no rekey interrupts. A rekeying read goes through
     /// the per-access core, and the rest of the group runs on the cache it
     /// invalidated. Within a run three whole-ring states take one step
-    /// (DESIGN.md §11, "Whole-set Prime+Probe"); any other state runs the
-    /// ring loop. `Random` replacement, and a group built for another
-    /// geometry, take `access_batch_from` itself.
+    /// (DESIGN.md §11, "Whole-set Prime+Probe"): a full ring read by as
+    /// many lines as it has ways, that holds the group or the group
+    /// displaced by foreign reads; a full ring read by more lines; and an
+    /// empty ring. Any other state runs the ring loop. `Random`
+    /// replacement, and a group built for another geometry, take
+    /// `access_batch_from` itself.
     pub fn access_set_from(&mut self, group: &SetGroup, domain: Domain) -> u64 {
         let geometry = (self.config.line_bytes, self.config.num_sets);
         if self.config.replacement == ReplacementPolicy::Random
@@ -610,21 +627,32 @@ impl Cache {
         let (ways, ring) = (&mut self.lines[span], &mut self.rings[ring_idx]);
         let (width, n) = (ways.len(), lines.len() as u64);
         let mut counts = BatchTally::default();
-        if lines.len() >= width && ring.holds_in_order(ways, &lines[lines.len() - width..]) {
-            if lines.len() == width {
+        if let Some(s) = ring.displacement(ways, lines) {
+            if s == 0 {
                 // Each read hits the oldest line; under LRU it becomes the
                 // newest, so after `width` reads the ring is as it was.
                 counts.hits = n;
             } else {
-                // The ring never holds the line read next, so every read
-                // replaces the oldest. The ring ends holding the same
-                // suffix in order, with `head` and the slab both moved on
-                // by `n mod width` ways.
-                let shift = lines.len() % width;
-                ways.rotate_right(shift);
-                ring.head = ring.slot(shift, width) as u16;
+                // Read `j` misses: `lines[j]` is foreign or was evicted by
+                // read `j - s`. It replaces the oldest line (`lines[s + j]`,
+                // then the `s` foreign lines), so after `width` reads `head`
+                // is back and the ring holds `lines` in order from it.
+                let head = ring.head as usize;
+                ways[head..].copy_from_slice(&lines[..width - head]);
+                ways[..head].copy_from_slice(&lines[width - head..]);
                 (counts.misses, counts.evictions) = (n, n);
             }
+        } else if lines.len() > width
+            && ring.displacement(ways, &lines[lines.len() - width..]) == Some(0)
+        {
+            // The ring never holds the line read next, so every read
+            // replaces the oldest. The ring ends holding the same suffix
+            // in order, with `head` and the slab both moved on by
+            // `n mod width` ways.
+            let shift = lines.len() % width;
+            ways.rotate_right(shift);
+            ring.head = ring.slot(shift, width) as u16;
+            (counts.misses, counts.evictions) = (n, n);
         } else if ring.count == 0 && lines.len() <= width {
             for &line in lines {
                 ring.push(ways, line);
@@ -1172,6 +1200,27 @@ mod tests {
             (seen, *cache.stats(), counters, hist, resident)
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn a_displaced_ring_is_read_in_one_step() {
+        // Prime set 0 of four ways with the group, let the victim read two
+        // foreign lines of the set, then read the group: every read
+        // misses and evicts, and the group lands in order from `head`.
+        let mut cfg = small_config();
+        cfg.ways = 4;
+        let mut cache = Cache::new(cfg);
+        let group = SetGroup::new(&cfg, &[0, 16, 32, 48]).unwrap();
+        assert_eq!(cache.access_set_from(&group, Domain::Attacker), 4);
+        cache.access(256);
+        cache.access(512);
+        assert_eq!(cache.rings[0].head, 2);
+        assert_eq!(cache.lines[..4], [64, 128, 8, 12]);
+        assert_eq!(cache.access_set_from(&group, Domain::Attacker), 4);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 10, 6));
+        assert_eq!(cache.rings[0].head, 2);
+        assert_eq!(cache.lines[..4], [8, 12, 0, 4]);
     }
 
     #[test]

@@ -519,8 +519,12 @@ enum StartRing {
     Prefix,
     /// A full ring of other lines of the set.
     Others,
-    /// The group was read, then the victim read one line of the set.
-    VictimLine,
+    /// The group was read, then the victim read this many other lines
+    /// of the set.
+    VictimLines(u64),
+    /// The group was read from its second line on, then its first: the
+    /// newest line is the group's first.
+    Rotated,
 }
 
 /// The counter totals and access-latency histogram `cache` publishes
@@ -549,10 +553,10 @@ fn published(tel: &Telemetry) -> (Vec<u64>, grinch_telemetry::LogHistogram) {
 fn whole_set_reads_replay_batched_reads_and_the_reference() {
     // `access_set_from` against `access_batch_from` over the same
     // addresses and against the reference model: groups of 1 to 2·W
-    // distinct lines of one set class, read three times in a row from six
-    // starting rings, under all three policies, epochs 0, 7 and 64 (with
-    // the rekey placed before, at the start, in the middle and at the end
-    // of the first read), with and without the even split. Compared after
+    // distinct lines of one set class, read three times in a row from
+    // eleven starting rings, under all three policies, epochs 0, 7 and 64
+    // (with the rekey placed before, at the start, in the middle and at
+    // the end of the first read), with and without the even split. Compared after
     // every read: the miss count, `CacheStats`, the residents in slab
     // order, the replacement order of both domains' ways in the set, the
     // telemetry totals and the reference's statistics and residents.
@@ -581,14 +585,17 @@ fn whole_set_reads_replay_batched_reads_and_the_reference() {
                     let suffix = &addrs[(n - n.min(width)) as usize..];
                     let prefix = &addrs[..n.min(width) as usize];
                     let others: Vec<u64> = (100..100 + width).map(|w| line(0x10_0000, w)).collect();
-                    for start in [
+                    let starts = [
                         StartRing::Empty,
                         StartRing::Group,
                         StartRing::Suffix,
                         StartRing::Prefix,
                         StartRing::Others,
-                        StartRing::VictimLine,
-                    ] {
+                        StartRing::Rotated,
+                    ]
+                    .into_iter()
+                    .chain([1, 2, width / 2, width - 1, width].map(StartRing::VictimLines));
+                    for start in starts {
                         let setup: Vec<(u64, Domain)> = match start {
                             StartRing::Empty => Vec::new(),
                             StartRing::Group => {
@@ -603,10 +610,15 @@ fn whole_set_reads_replay_batched_reads_and_the_reference() {
                             StartRing::Others => {
                                 others.iter().map(|&a| (a, Domain::Attacker)).collect()
                             }
-                            StartRing::VictimLine => addrs
+                            StartRing::VictimLines(k) => addrs
                                 .iter()
                                 .map(|&a| (a, Domain::Attacker))
-                                .chain([(set + 3 * stride, Domain::Victim)])
+                                .chain((0..k).map(|j| (set + (3 + j) * stride, Domain::Victim)))
+                                .collect(),
+                            StartRing::Rotated => addrs[1..]
+                                .iter()
+                                .chain(&addrs[..1])
+                                .map(|&a| (a, Domain::Attacker))
                                 .collect(),
                         };
                         let mut rekey_at = vec![None];

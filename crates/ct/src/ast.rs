@@ -347,6 +347,7 @@ pub fn parse_file(src: &str) -> Result<SourceFile, ParseError> {
     let mut parser = Parser {
         tokens: lexed.tokens,
         pos: 0,
+        depth: 0,
     };
     let mut file = SourceFile {
         allows: lexed.allows,
@@ -360,9 +361,17 @@ pub fn parse_file(src: &str) -> Result<SourceFile, ParseError> {
 
 const KEYWORD_NON_BINDING: &[&str] = &["true", "false"];
 
+/// The deepest nesting of blocks, expressions, patterns and modules the
+/// parser follows. The workspace's own sources stay far below it; the
+/// bound keeps the recursion to well under a 2 MiB thread stack, so a
+/// hostile `((((...` file is a parse error rather than a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels entered through [`Parser::nested`].
+    depth: usize,
 }
 
 impl Parser {
@@ -475,6 +484,21 @@ impl Parser {
             message: format!("{message}, found {found}"),
             line: self.line(),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("nesting too deep"));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     /// Skips a balanced delimiter group whose opener is the current token.
@@ -625,6 +649,14 @@ impl Parser {
     // ---- items --------------------------------------------------------
 
     fn parse_items(&mut self, file: &mut SourceFile, qual: Option<&str>) -> Result<(), ParseError> {
+        self.nested(|p| p.items_at_level(file, qual))
+    }
+
+    fn items_at_level(
+        &mut self,
+        file: &mut SourceFile,
+        qual: Option<&str>,
+    ) -> Result<(), ParseError> {
         let mut skip_next = false;
         loop {
             // End of container.
@@ -958,7 +990,9 @@ impl Parser {
                         if self.eat_punct("=") {
                             // Discriminant.
                             while !self.at_punct(",") && !self.at_close('}') {
-                                self.bump();
+                                if self.bump().is_none() {
+                                    return Err(self.error("unterminated enum"));
+                                }
                             }
                         }
                     }
@@ -1070,6 +1104,10 @@ impl Parser {
     // ---- statements ---------------------------------------------------
 
     fn parse_block(&mut self) -> Result<Block, ParseError> {
+        self.nested(Self::block_at_level)
+    }
+
+    fn block_at_level(&mut self) -> Result<Block, ParseError> {
         self.expect_open('{')?;
         let mut block = Block::default();
         while !self.at_close('}') {
@@ -1228,6 +1266,10 @@ impl Parser {
     }
 
     fn parse_pat_single(&mut self) -> Result<Pat, ParseError> {
+        self.nested(Self::pat_at_level)
+    }
+
+    fn pat_at_level(&mut self) -> Result<Pat, ParseError> {
         let line = self.line();
         if self.eat_punct("&&") {
             // `|&&x|` — two refs.
@@ -1522,6 +1564,10 @@ impl Parser {
     }
 
     fn parse_unary(&mut self, no_struct: bool) -> Result<Expr, ParseError> {
+        self.nested(|p| p.unary_at_level(no_struct))
+    }
+
+    fn unary_at_level(&mut self, no_struct: bool) -> Result<Expr, ParseError> {
         if self.at_punct("!") || self.at_punct("-") || self.at_punct("*") {
             self.bump();
             return Ok(Expr::Unary(Box::new(self.parse_unary(no_struct)?)));
@@ -2290,6 +2336,42 @@ mod tests {
             panic!("tail is not a match");
         };
         assert_eq!(arms[0].0.bindings(), [("d".to_string(), 2)]);
+    }
+
+    #[test]
+    fn nesting_beyond_the_bound_is_rejected_without_overflow() {
+        let nest = |open: &str, close: &str, n: usize| {
+            format!("fn f() {{ {}0{} }}", open.repeat(n), close.repeat(n))
+        };
+        assert!(parse_file(&nest("(", ")", MAX_DEPTH / 2)).is_ok());
+        assert!(parse_file(&nest("{", "}", MAX_DEPTH / 2)).is_ok());
+        // Deep input of every recursive form, parsed on a thread with the
+        // default 2 MiB stack.
+        let hostile = [
+            nest("(", ")", 100_000),
+            nest("[", "]", 100_000),
+            nest("{", "}", 100_000),
+            nest("!", "", 100_000),
+            format!("fn f() {{ let {} = 0; }}", "(".repeat(100_000)),
+            "mod m { ".repeat(100_000),
+        ];
+        for src in hostile {
+            let err = std::thread::spawn(move || parse_file(&src).map(|_| ()))
+                .join()
+                .expect("no stack overflow")
+                .unwrap_err();
+            assert!(
+                err.message.starts_with("nesting too deep"),
+                "{}",
+                err.message
+            );
+        }
+    }
+
+    #[test]
+    fn an_unterminated_enum_discriminant_is_an_error() {
+        // The discriminant skip once looped forever at the end of input.
+        assert!(parse_file("enum E { A = 1").is_err());
     }
 
     #[test]

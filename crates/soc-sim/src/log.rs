@@ -80,16 +80,21 @@ impl fmt::Display for ScenarioEvent {
 ///
 /// The log doubles as the telemetry adapter for the SoC simulation: when a
 /// [`grinch_telemetry::Telemetry`] handle is attached, every recorded
-/// [`ScenarioEvent`] also advances the simulated clock and publishes the
+/// [`ScenarioEvent`] also sets the simulated clock and publishes the
 /// matching metric (`victim.rounds`, `victim.encryptions`,
 /// `attacker.probe_passes` + an `attacker.probe_hit_lines` histogram, and
-/// `scheduler.context_switches`). Existing consumers of [`Self::events`]
-/// are unaffected.
+/// `scheduler.context_switches`). Scenario time starts at 0, so the clock
+/// reads the handle's time when the log was built plus the event's time,
+/// and never moves back: scenarios that share one handle run one after
+/// another on its clock.
+/// Existing consumers of [`Self::events`] are unaffected.
 #[derive(Clone, Debug, Default)]
 pub struct ScenarioLog {
     events: Vec<ScenarioEvent>,
     current_round: Option<usize>,
     telemetry: grinch_telemetry::Telemetry,
+    /// The handle's clock when the log was built: scenario time 0.
+    origin_ns: u64,
 }
 
 impl ScenarioLog {
@@ -101,6 +106,7 @@ impl ScenarioLog {
     /// Creates an empty log that mirrors every event into `telemetry`.
     pub fn with_telemetry(telemetry: grinch_telemetry::Telemetry) -> Self {
         Self {
+            origin_ns: telemetry.now_ns(),
             telemetry,
             ..Self::default()
         }
@@ -112,12 +118,21 @@ impl ScenarioLog {
         &self.telemetry
     }
 
+    /// Sets the handle's clock to scenario time `time_ns`, never back:
+    /// the co-simulation can record a victim round start a few µs before
+    /// a probe pass it already recorded as complete.
+    fn set_time_ns(&self, time_ns: u64) {
+        let now = self.telemetry.now_ns();
+        self.telemetry
+            .set_time_ns(now.max(self.origin_ns + time_ns));
+    }
+
     /// Records a victim round start.
     pub fn round_start(&mut self, time_ns: u64, round: usize) {
         self.current_round = Some(round);
         self.events
             .push(ScenarioEvent::RoundStart { time_ns, round });
-        self.telemetry.set_time_ns(time_ns);
+        self.set_time_ns(time_ns);
         self.telemetry.counter_inc("victim.rounds");
     }
 
@@ -126,13 +141,13 @@ impl ScenarioLog {
         self.current_round = None;
         self.events
             .push(ScenarioEvent::EncryptionDone { time_ns, index });
-        self.telemetry.set_time_ns(time_ns);
+        self.set_time_ns(time_ns);
         self.telemetry.counter_inc("victim.encryptions");
     }
 
     /// Records a completed probe pass.
     pub fn probe_complete(&mut self, time_ns: u64, hit_lines: Vec<u64>) {
-        self.telemetry.set_time_ns(time_ns);
+        self.set_time_ns(time_ns);
         self.telemetry.counter_inc("attacker.probe_passes");
         self.telemetry
             .record_value("attacker.probe_hit_lines", hit_lines.len() as u64);
@@ -147,7 +162,7 @@ impl ScenarioLog {
     pub fn context_switch(&mut self, time_ns: u64, to: &'static str) {
         self.events
             .push(ScenarioEvent::ContextSwitch { time_ns, to });
-        self.telemetry.set_time_ns(time_ns);
+        self.set_time_ns(time_ns);
         self.telemetry.counter_inc("scheduler.context_switches");
     }
 
@@ -207,6 +222,20 @@ mod tests {
         assert_eq!(hist.max(), Some(2));
         // The event timeline itself is unchanged by the mirroring.
         assert_eq!(log.events().len(), 4);
+    }
+
+    #[test]
+    fn scenario_time_starts_at_the_handle_clock_and_never_runs_back() {
+        let tel = grinch_telemetry::Telemetry::new();
+        tel.advance_time_ns(1_000);
+        let mut log = ScenarioLog::with_telemetry(tel.clone());
+        log.round_start(100, 1);
+        assert_eq!(tel.now_ns(), 1_100);
+        log.encryption_done(900, 0);
+        assert_eq!(tel.now_ns(), 1_900);
+        log.probe_complete(890, vec![]);
+        assert_eq!(tel.now_ns(), 1_900, "an earlier event leaves the clock");
+        assert_eq!(log.events()[2].time_ns(), 890, "events keep scenario time");
     }
 
     #[test]

@@ -489,4 +489,37 @@ mod tests {
             .sum();
         assert!(total_hits > 0, "attacker never saw a victim access");
     }
+
+    #[test]
+    fn scenarios_sharing_a_handle_run_the_clock_forward() {
+        // Each scenario's time starts at 0; on a shared handle the second
+        // must start where the first ended, not at 0 again. The long
+        // single-SoC scenario first makes a restarted clock end the short
+        // MPSoC one before it starts.
+        let tel = Telemetry::new();
+        {
+            let _root = grinch_telemetry::span!(tel, "scenarios");
+            run_single_soc(&PlatformConfig::single_soc(10_000_000), tel.clone());
+            run_mpsoc(&PlatformConfig::mpsoc(50_000_000), tel.clone());
+        }
+        let snap = tel.snapshot();
+        let names: Vec<_> = snap.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["scenarios", "scenario.single_soc", "scenario.mpsoc"]
+        );
+        for span in &snap.spans {
+            let end = span.end_ns.expect("every span closed");
+            assert!(end >= span.start_ns, "{} ends before it starts", span.name);
+            if let Some(parent) = span.parent.map(|p| &snap.spans[p]) {
+                assert!(
+                    parent.start_ns <= span.start_ns && Some(end) <= parent.end_ns,
+                    "{} leaves its parent",
+                    span.name
+                );
+            }
+        }
+        assert!(snap.spans[2].start_ns >= snap.spans[1].end_ns.unwrap());
+        assert_eq!(Some(snap.sim_time_ns), snap.spans[0].end_ns);
+    }
 }
