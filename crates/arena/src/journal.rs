@@ -784,4 +784,56 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert!(JournalState::load(&path).expect("ok").is_none());
     }
+
+    /// The lines of a finished smoke journal, whole and cut after every
+    /// `,`, `:`, bracket and brace.
+    fn journal_pieces() -> &'static (Vec<String>, Vec<String>) {
+        static PIECES: std::sync::OnceLock<(Vec<String>, Vec<String>)> = std::sync::OnceLock::new();
+        PIECES.get_or_init(|| {
+            let path = tmp("pieces.jsonl");
+            let _ = std::fs::remove_file(&path);
+            run_journaled(&CampaignConfig::smoke(), &path, None, None, 0).expect("runs");
+            let text = std::fs::read_to_string(&path).expect("journal text");
+            let _ = std::fs::remove_file(&path);
+            let lines: Vec<String> = text.lines().map(|l| format!("{l}\n")).collect();
+            let fragments = lines
+                .iter()
+                .flat_map(|l| l.split_inclusive([',', ':', '{', '}', '[', ']', '\n']))
+                .map(str::to_string)
+                .collect();
+            (lines, fragments)
+        })
+    }
+
+    /// Loads `bytes` as a journal file; any outcome but a panic passes.
+    fn load_bytes(name: &str, bytes: &[u8]) {
+        let path = tmp(name);
+        std::fs::write(&path, bytes).expect("writes");
+        let _ = JournalState::load(&path);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn load_never_panics_on_arbitrary_bytes(
+            bytes in proptest::prelude::prop::collection::vec(proptest::prelude::any::<u8>(), 0..400),
+        ) {
+            load_bytes("bytes.jsonl", &bytes);
+        }
+
+        #[test]
+        fn load_never_panics_on_record_token_soup(
+            keep in 0usize..6,
+            picks in proptest::prelude::prop::collection::vec(0usize..4096, 0..120),
+        ) {
+            // Up to `keep` valid records first, so the soup also lands
+            // after a header and among cells.
+            let (lines, fragments) = journal_pieces();
+            let mut text: String = lines.iter().take(keep).map(String::as_str).collect();
+            text.extend(picks.iter().map(|&i| fragments[i % fragments.len()].as_str()));
+            load_bytes("soup.jsonl", text.as_bytes());
+        }
+    }
 }

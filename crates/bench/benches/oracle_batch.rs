@@ -1,10 +1,15 @@
 //! Criterion bench for the oracle's observation path: a loop of 64
 //! `observe_stage` calls, for both probe mechanics, and for Prime+Probe
-//! also against the two defenses the arena spends its time on (way
-//! partitioning and a cache re-keyed every 64 accesses). Each monitored
-//! set is primed and probed with one `access_set_from`, and the
-//! Flush+Reload reload is one `reload_and_flush_from` — this bench is the
-//! wall-clock evidence for those seams (DESIGN.md §11, §15).
+//! also against way partitioning and a cache re-keyed every 64 accesses.
+//!
+//! The rows take different paths (DESIGN.md §11, §15):
+//! - `prime_probe` (the undefended cache) takes the closed form: the
+//!   victim's rounds only mark the monitored lines they read, and the
+//!   probe's outcome and cache counters are derived, not replayed.
+//! - `prime_probe_partition` and `prime_probe_rekey64` take the replay:
+//!   each monitored set is primed and probed with one `access_set_from`.
+//! - `flush_reload` replays every victim read, and its reload is one
+//!   `reload_and_flush_from`.
 //!
 //! Set `GRINCH_BENCH_SMOKE=1` to shrink sampling for CI smoke runs.
 

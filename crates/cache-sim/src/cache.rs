@@ -695,6 +695,39 @@ impl Cache {
         self.publish_tally(&tally);
     }
 
+    /// Counts `hits`, `misses` and `evictions` that the caller has proven
+    /// some reads would produce, without running the reads: they are added
+    /// to [`CacheStats`] and published as one batch, exactly as
+    /// [`Cache::access_batch_from`] over those reads would count them.
+    ///
+    /// The cache's contents and replacement order are left as they are.
+    /// The precondition is the caller's: the reads are ones whose counts
+    /// follow from the cache state without simulating it (the closed-form
+    /// Prime+Probe of DESIGN.md §11), and nothing reads this cache's
+    /// contents afterwards or the reads leave them as they were.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mapping re-keys, since the reads would then move its
+    /// epoch, or if `evictions` exceeds `misses`.
+    pub fn count_proven(&mut self, hits: u64, misses: u64, evictions: u64) {
+        assert_eq!(
+            self.mapper.accesses_before_rekey(),
+            u64::MAX,
+            "proven counts need a mapping that never re-keys"
+        );
+        assert!(evictions <= misses, "only a miss evicts");
+        self.stats.hits += hits;
+        self.stats.misses += misses;
+        self.stats.evictions += evictions;
+        self.publish_tally(&BatchTally {
+            hits,
+            misses,
+            evictions,
+            ..BatchTally::default()
+        });
+    }
+
     /// Applies the per-batch metric tally under one registry borrow.
     fn publish_tally(&mut self, tally: &BatchTally) {
         if tally.is_empty() {
@@ -1221,6 +1254,38 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 10, 6));
         assert_eq!(cache.rings[0].head, 2);
         assert_eq!(cache.lines[..4], [8, 12, 0, 4]);
+    }
+
+    #[test]
+    fn proven_counts_match_the_reads_they_stand_for() {
+        // A prime into an empty set, a re-read of it and a re-read after
+        // one foreign read: 4 + 4 + 1 misses, 4 hits, 1 + 4 evictions.
+        let mut cfg = small_config();
+        cfg.ways = 4;
+        let group = SetGroup::new(&cfg, &[0, 16, 32, 48]).unwrap();
+        let (read, proven) = (Telemetry::new(), Telemetry::new());
+        let mut cache = Cache::new(cfg);
+        cache.set_telemetry(read.clone(), "cache.l1");
+        cache.access_set_from(&group, Domain::Attacker);
+        cache.access_set_from(&group, Domain::Attacker);
+        cache.access(256);
+        cache.access_set_from(&group, Domain::Attacker);
+        let mut counted = Cache::new(cfg);
+        counted.set_telemetry(proven.clone(), "cache.l1");
+        counted.count_proven(4, 9, 5);
+        assert_eq!(counted.stats(), cache.stats());
+        assert_eq!(proven.to_jsonl(), read.to_jsonl());
+        assert_eq!(counted.resident_lines(), 0, "contents are left alone");
+    }
+
+    #[test]
+    #[should_panic(expected = "never re-keys")]
+    fn proven_counts_refuse_a_rekeying_mapping() {
+        let cfg = small_config().with_mapping(IndexMapping::KeyedRemap {
+            key: 0xfeed,
+            epoch_accesses: 64,
+        });
+        Cache::new(cfg).count_proven(1, 0, 0);
     }
 
     #[test]

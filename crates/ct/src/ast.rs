@@ -253,6 +253,58 @@ pub enum Expr {
 }
 
 impl Expr {
+    /// Calls `f` on each direct sub-expression, counting the statements
+    /// and tail of a nested block as direct.
+    fn for_each_child_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Expr)) {
+        match self {
+            Expr::Lit | Expr::Path(..) => {}
+            Expr::Unary(e)
+            | Expr::Cast(e)
+            | Expr::Field(e, ..)
+            | Expr::TupleField(e, _)
+            | Expr::Try(e)
+            | Expr::Closure { body: e, .. } => f(e),
+            Expr::Binary(_, l, r, _) | Expr::Assign(_, l, r, _) | Expr::Index(l, r, _) => {
+                f(l);
+                f(r);
+            }
+            Expr::Call(callee, args, _) | Expr::MethodCall(callee, _, _, args, _) => {
+                f(callee);
+                args.iter_mut().for_each(f);
+            }
+            Expr::Macro(_, args, _) | Expr::Tuple(args) | Expr::Array(args) => {
+                args.iter_mut().for_each(f)
+            }
+            Expr::StructLit(_, fields, _) => fields.iter_mut().for_each(|(_, e)| f(e)),
+            Expr::Range(start, end, _) => start.iter_mut().chain(end).for_each(|e| f(e)),
+            Expr::If {
+                cond,
+                then_block,
+                else_expr,
+                ..
+            } => {
+                f(cond);
+                then_block.for_each_expr_mut(f);
+                else_expr.iter_mut().for_each(|e| f(e));
+            }
+            Expr::Match {
+                scrutinee, arms, ..
+            } => {
+                f(scrutinee);
+                for (_, guard, body) in arms {
+                    guard.iter_mut().for_each(&mut *f);
+                    f(body);
+                }
+            }
+            Expr::Block(b) | Expr::Loop(b) => b.for_each_expr_mut(f),
+            Expr::For { iter: e, body, .. } | Expr::While { cond: e, body, .. } => {
+                f(e);
+                body.for_each_expr_mut(f);
+            }
+            Expr::Return(e, _) | Expr::Jump(e, _) => e.iter_mut().for_each(|e| f(e)),
+        }
+    }
+
     /// The line this expression anchors to, when known.
     pub fn line(&self) -> Option<u32> {
         match self {
@@ -276,6 +328,56 @@ impl Expr {
             Expr::Unary(e) | Expr::Cast(e) | Expr::Try(e) => e.line(),
             _ => None,
         }
+    }
+}
+
+/// Drops the tree without recursion: an operator chain `a + b + …` is as
+/// deep as it is long, and [`parse_file`] must be able to drop one it
+/// refuses (see [`MAX_EXPR_DEPTH`]).
+impl Drop for Expr {
+    fn drop(&mut self) {
+        let mut doomed = Vec::new();
+        unlink_children(self, &mut doomed);
+        while let Some(mut e) = doomed.pop() {
+            unlink_children(&mut e, &mut doomed);
+        }
+    }
+}
+
+/// Moves the sub-expressions of `e` that are not leaves into `out`,
+/// leaving `Lit` in their place.
+fn unlink_children(e: &mut Expr, out: &mut Vec<Expr>) {
+    e.for_each_child_mut(&mut |child| {
+        if !matches!(child, Expr::Lit | Expr::Path(..)) {
+            out.push(std::mem::replace(child, Expr::Lit));
+        }
+    });
+}
+
+impl Block {
+    /// Calls `f` on each statement's expression and on the tail.
+    fn for_each_expr_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Expr)) {
+        for stmt in &mut self.stmts {
+            match stmt {
+                Stmt::Let { init: Some(e), .. } | Stmt::Expr(e) => f(e),
+                Stmt::Let { init: None, .. } | Stmt::Item => {}
+            }
+        }
+        self.tail.iter_mut().for_each(|e| f(e));
+    }
+
+    /// Whether some expression lies more than `limit` expressions below
+    /// the block, found without recursion.
+    fn deeper_than(&mut self, limit: usize) -> bool {
+        let mut open = Vec::new();
+        self.for_each_expr_mut(&mut |e| open.push((e, 1)));
+        while let Some((e, depth)) = open.pop() {
+            if depth > limit {
+                return true;
+            }
+            e.for_each_child_mut(&mut |c| open.push((c, depth + 1)));
+        }
+        false
     }
 }
 
@@ -356,6 +458,17 @@ pub fn parse_file(src: &str) -> Result<SourceFile, ParseError> {
         ..SourceFile::default()
     };
     parser.parse_items(&mut file, None)?;
+    for f in &mut file.functions {
+        if f.body.deeper_than(MAX_EXPR_DEPTH) {
+            return Err(ParseError {
+                message: format!(
+                    "expression nesting too deep in `{}` (more than {MAX_EXPR_DEPTH} levels)",
+                    f.name
+                ),
+                line: f.line,
+            });
+        }
+    }
     Ok(file)
 }
 
@@ -366,6 +479,14 @@ const KEYWORD_NON_BINDING: &[&str] = &["true", "false"];
 /// bound keeps the recursion to well under a 2 MiB thread stack, so a
 /// hostile `((((...` file is a parse error rather than a stack overflow.
 pub const MAX_DEPTH: usize = 128;
+
+/// The deepest expression tree [`parse_file`] accepts, counted in
+/// expressions below a function body. An operator or postfix chain
+/// (`a + b + …`, `v.f().g()…`) is one level deeper per link without
+/// nesting the parser, so [`MAX_DEPTH`] does not bound it.
+/// The analyzers walk the tree recursively; this bound keeps their walk
+/// well under a 2 MiB thread stack, and a longer chain is a parse error.
+pub const MAX_EXPR_DEPTH: usize = 1024;
 
 struct Parser {
     tokens: Vec<Token>,
@@ -2365,6 +2486,50 @@ mod tests {
                 "{}",
                 err.message
             );
+        }
+    }
+
+    #[test]
+    fn chains_beyond_the_expression_bound_are_rejected_without_overflow() {
+        // Each link of an operator or postfix chain is one level of
+        // the tree: a chain of `MAX_EXPR_DEPTH` terms is accepted and
+        // analyzed, one more is refused, and 100,000 are refused (and
+        // dropped) on a thread with the default 2 MiB stack.
+        let sum = |terms: usize| format!("fn f() -> u64 {{ {} }}", vec!["0"; terms].join(" + "));
+        let on_small_stack = |src: String| {
+            std::thread::spawn(move || {
+                let parsed = parse_file(&src).map(|file| {
+                    crate::determinism::lint_module("f.rs", &file);
+                });
+                let analyzed = crate::analyze_sources(&[("f.rs".into(), src)], 1);
+                (parsed, analyzed.is_ok())
+            })
+            .join()
+            .expect("no stack overflow")
+        };
+        let (parsed, analyzed) = on_small_stack(sum(MAX_EXPR_DEPTH));
+        assert!(parsed.is_ok() && analyzed, "a chain at the bound");
+        let hostile = [
+            sum(100_000),
+            sum(MAX_EXPR_DEPTH + 1),
+            format!("fn f() {{ x{} }}", ".f()".repeat(100_000)),
+            // 64 nested sums of 21 terms: no chain is long and the parser
+            // nests only 64 deep, but the tree is 1,344 levels deep.
+            format!(
+                "fn f() {{ {}0{} }}",
+                "(".repeat(64),
+                format!("{})", " + 0".repeat(20)).repeat(64)
+            ),
+        ];
+        for src in hostile {
+            let (parsed, analyzed) = on_small_stack(src);
+            let err = parsed.unwrap_err();
+            assert!(
+                err.message.starts_with("expression nesting too deep"),
+                "{}",
+                err.message
+            );
+            assert!(!analyzed);
         }
     }
 

@@ -5,14 +5,22 @@
 //! threat model allows: submit a plaintext for encryption and learn which
 //! S-box *cache lines* were resident when the probe fired — nothing else.
 //!
-//! Two classical probe mechanics are implemented with real cache state:
+//! Two classical probe mechanics are implemented:
 //!
 //! * **Flush+Reload** — the attacker flushes the S-box lines before the
-//!   encryption, then reloads each line and classifies hit/miss by timing;
+//!   encryption, then reloads each line and classifies hit/miss by timing.
+//!   It always runs on real cache state.
 //! * **Prime+Probe** — the attacker fills the cache sets the S-box maps to
 //!   with its own lines, then re-reads them and infers victim activity from
 //!   its own misses. It never flushes: each probe leaves the sets primed
-//!   for the next observation.
+//!   for the next observation. On a cache whose placement never changes
+//!   (no rekeying, no way partition, LRU or FIFO) and whose monitored lines
+//!   sit in distinct sets, every probe puts each set back as it was, so the
+//!   oracle derives the probe and the cache counters from which lines the
+//!   victim read, without replaying a single access (DESIGN.md §11,
+//!   "Closed-form Prime+Probe"). Rekeyed, partitioned and `Random`-policy
+//!   caches, and victims that also read the permutation table, run every
+//!   access on real cache state.
 //!
 //! The probing *moment* follows the paper's Fig. 3 convention: "cache
 //! probing round k" means the probe observes the accesses of rounds
@@ -23,7 +31,7 @@
 use crate::noise::NoiseChannel;
 use crate::stage::{SilenceModel, StageVictim};
 use crate::target::TargetSpec;
-use cache_sim::{Cache, CacheConfig, Domain, SetGroup};
+use cache_sim::{Cache, CacheConfig, Domain, IndexMapping, ReplacementPolicy, SetGroup};
 use gift_cipher::countermeasure::{
     masked_round_keys_64, FullScanGift64, PreloadGift64, WideLineGift64,
 };
@@ -350,6 +358,52 @@ impl MemoryObserver for RoundAddrRecorder<'_> {
     }
 }
 
+/// One closed-form Prime+Probe window: the victim reads between two
+/// primes (or a prime and the probe), kept as the monitored lines they
+/// touched and their count. Every read must fall on a monitored line.
+#[derive(Clone, Copy, Default)]
+struct ProbeWindow {
+    /// Line address (`addr >> shift`) of monitored line 0.
+    first_line: u64,
+    shift: u32,
+    /// Bit `i`: the victim read monitored line `i`.
+    lines: u64,
+    reads: u64,
+}
+
+impl MemoryObserver for ProbeWindow {
+    #[inline(always)]
+    fn on_read(&mut self, access: gift_cipher::observer::Access) {
+        let bit = (access.addr >> self.shift) - self.first_line;
+        debug_assert!(bit < 64, "{:#x} is not a monitored line", access.addr);
+        self.lines |= 1 << bit;
+        self.reads += 1;
+    }
+}
+
+/// The cache counters a closed-form Prime+Probe observation adds.
+#[derive(Clone, Copy, Default)]
+struct ProvenCounts {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl ProvenCounts {
+    /// Counts `window`'s victim reads and the `ways`-line re-read of each
+    /// of the `monitored` sets that closes it (a re-prime or the probe).
+    /// A set the victim touched held the attacker's `ways` lines, so its
+    /// first read missed and evicted and the rest hit; the re-read then
+    /// misses and evicts `ways` times there, and hits `ways` times in
+    /// every untouched set (DESIGN.md §11, "Closed-form Prime+Probe").
+    fn close(&mut self, window: &ProbeWindow, ways: u64, monitored: u64) {
+        let touched = u64::from(window.lines.count_ones());
+        self.hits += window.reads - touched + ways * (monitored - touched);
+        self.misses += touched + ways * touched;
+        self.evictions += touched + ways * touched;
+    }
+}
+
 /// The victim plus the shared cache plus the probe: everything the attacker
 /// interacts with.
 ///
@@ -381,6 +435,11 @@ pub struct VictimOracle {
     /// once, on its first observation; every probe then leaves the sets
     /// primed for the next one.
     primed: bool,
+    /// Whether Prime+Probe derives its observations and cache counters
+    /// in closed form instead of replaying every access (see
+    /// [`VictimOracle::closed_form_applies`]). Set once, from the
+    /// configuration.
+    closed_form: bool,
     telemetry: grinch_telemetry::Telemetry,
     /// `Some` iff telemetry is enabled: the campaign-total counters.
     metrics: Option<AttackMetricHandles>,
@@ -509,6 +568,7 @@ impl VictimOracle {
             ProbeStrategy::FlushReload => Vec::new(),
             ProbeStrategy::PrimeProbe => Self::build_prime_groups(&config, &probe_addrs),
         };
+        let closed_form = Self::closed_form_applies(&config, &probe_addrs, &prime_groups);
         Self {
             cipher,
             cache,
@@ -519,6 +579,7 @@ impl VictimOracle {
             index_bits,
             prime_groups,
             primed: false,
+            closed_form,
             telemetry: grinch_telemetry::Telemetry::disabled(),
             metrics: None,
             stage_metrics: Vec::new(),
@@ -584,6 +645,44 @@ impl VictimOracle {
             .collect()
     }
 
+    /// Whether Prime+Probe under `config` has a closed form: every probe
+    /// of a monitored set then leaves it holding the attacker's lines in
+    /// prime order, so an observation's cache effect follows from which
+    /// monitored lines the victim read in each window (DESIGN.md §11,
+    /// "Closed-form Prime+Probe"). That needs a set placement that never
+    /// changes (no rekeying), the attacker's lines in whole sets (no way
+    /// partition), a replacement order (LRU or FIFO, not `Random`), victim
+    /// reads on monitored lines only (no permutation-table reads), each
+    /// monitored line alone in its set, and no attacker line among them.
+    fn closed_form_applies(
+        config: &ObservationConfig,
+        probe_addrs: &[u64],
+        prime_groups: &[SetGroup],
+    ) -> bool {
+        let cache = &config.cache;
+        if config.strategy != ProbeStrategy::PrimeProbe {
+            return false;
+        }
+        let static_mapping = match cache.mapping {
+            IndexMapping::Modulo => true,
+            IndexMapping::KeyedRemap { epoch_accesses, .. } => epoch_accesses == 0,
+        };
+        let distinct_sets = probe_addrs.iter().enumerate().all(|(i, &a)| {
+            probe_addrs[..i]
+                .iter()
+                .all(|&b| cache.set_of(a) != cache.set_of(b))
+        });
+        let foreign_primes = prime_groups
+            .iter()
+            .all(|g| g.addrs().iter().all(|a| !probe_addrs.contains(a)));
+        cache.partition.is_none()
+            && static_mapping
+            && cache.replacement != ReplacementPolicy::Random
+            && !config.layout.emit_perm_reads
+            && distinct_sets
+            && foreign_primes
+    }
+
     fn run_rounds(&mut self, plaintext: u64, rounds: usize) -> u64 {
         let mut state = plaintext;
         for round in 0..rounds {
@@ -597,7 +696,9 @@ impl VictimOracle {
     /// `prime_groups` order. A probe reads the same lines in the same
     /// order, so under LRU it leaves every prime line as resident as a
     /// prime does, whatever the victim did (DESIGN.md §10): no flush
-    /// precedes a prime.
+    /// precedes a prime. This is the replay path; a closed-form oracle
+    /// counts its primes instead (see
+    /// [`VictimOracle::observe_closed_form`]).
     fn prime(&mut self) {
         for group in &self.prime_groups {
             // One whole-set fill (and one telemetry publish) per monitored
@@ -668,6 +769,9 @@ impl VictimOracle {
                     bit += 1;
                 });
             }
+            ProbeStrategy::PrimeProbe if self.closed_form => {
+                out.bits = self.observe_closed_form(plaintext, rounds, flush_before);
+            }
             ProbeStrategy::PrimeProbe => {
                 // Prime phase, once: fill each monitored set with attacker
                 // lines. Later observations start from the previous probe,
@@ -681,6 +785,8 @@ impl VictimOracle {
                 // the victim displaced one — its set was touched. No
                 // clean-up follows: under LRU the probe leaves exactly its
                 // own lines in each set, in probe order, as a prime would.
+                // The replay simulates every read; the closed form above
+                // derives the same misses from the victim's lines.
                 for (bit, group) in self.prime_groups.iter().enumerate() {
                     let misses = self.cache.access_set_from(group, Domain::Attacker);
                     out.bits |= u64::from(misses > 0) << bit;
@@ -709,6 +815,52 @@ impl VictimOracle {
                 }
             }
         }
+    }
+
+    /// Closed-form Prime+Probe (DESIGN.md §11): runs the victim's first
+    /// `rounds` rounds, noting only which monitored lines each window read
+    /// and how many reads it made, and returns the last window's lines —
+    /// the probe's misses. The prime, the re-prime before round index
+    /// `flush_before` and the probe are not run: their hits, misses and
+    /// evictions, and the victim's, follow from the windows and are
+    /// counted into the cache with [`Cache::count_proven`]. The cache
+    /// contents are never read or written. Kept out of line, so the
+    /// Flush+Reload and replay paths of `observe_stage_into` compile as
+    /// they did without it.
+    #[inline(never)]
+    fn observe_closed_form(
+        &mut self,
+        plaintext: u64,
+        rounds: usize,
+        flush_before: Option<usize>,
+    ) -> u64 {
+        let ways = self.config.cache.ways as u64;
+        let monitored = self.prime_groups.len() as u64;
+        let mut counts = ProvenCounts::default();
+        if !self.primed {
+            // The first prime fills empty sets: one miss per line.
+            counts.misses += ways * monitored;
+            self.primed = true;
+        }
+        let empty = ProbeWindow {
+            first_line: self.empty_lines.base >> self.empty_lines.shift,
+            shift: self.empty_lines.shift,
+            ..ProbeWindow::default()
+        };
+        let mut window = empty;
+        let mut state = plaintext;
+        for round in 0..rounds {
+            if flush_before == Some(round) {
+                // The re-prime closes the window it ends.
+                counts.close(&window, ways, monitored);
+                window = empty;
+            }
+            state = run_one_round(&self.cipher, state, round, &mut window);
+        }
+        counts.close(&window, ways, monitored);
+        self.cache
+            .count_proven(counts.hits, counts.misses, counts.evictions);
+        window.lines
     }
 
     /// Runs the victim's first `rounds` rounds against the cache; before
@@ -1215,6 +1367,146 @@ mod tests {
                     assert_eq!(want.len(), 16, "{defense} flush={flush} reference {i}");
                 });
             }
+        }
+    }
+
+    #[test]
+    fn closed_form_is_selected_only_on_static_whole_set_caches() {
+        let pp = |cache: CacheConfig| ObservationConfig {
+            cache,
+            strategy: ProbeStrategy::PrimeProbe,
+            ..ObservationConfig::ideal()
+        };
+        let selected = |cfg: ObservationConfig| VictimOracle::new(key(), cfg).closed_form;
+        for (defense, cache) in arena_defenses() {
+            let expected = matches!(defense, "baseline" | "static-remap");
+            assert_eq!(selected(pp(cache)), expected, "{defense}");
+            let policy = |replacement| CacheConfig {
+                replacement,
+                ..cache
+            };
+            assert_eq!(
+                selected(pp(policy(ReplacementPolicy::Fifo))),
+                expected,
+                "{defense} FIFO"
+            );
+            assert!(
+                !selected(pp(policy(ReplacementPolicy::Random))),
+                "{defense} Random"
+            );
+            let fr = ObservationConfig {
+                cache,
+                ..ObservationConfig::ideal()
+            };
+            assert!(!selected(fr), "{defense} Flush+Reload");
+        }
+        let perm_reads = ObservationConfig {
+            layout: TableLayout::default().with_perm_reads(),
+            ..pp(CacheConfig::grinch_default())
+        };
+        assert!(!selected(perm_reads), "permutation-table reads");
+        // Two sets: monitored lines 0..16 of a one-word-line cache share
+        // them, eight to a set.
+        let shared_sets = CacheConfig {
+            num_sets: 2,
+            ways: 512,
+            ..CacheConfig::grinch_default()
+        };
+        assert!(!selected(pp(shared_sets)), "monitored lines share sets");
+    }
+
+    #[test]
+    fn closed_form_prime_probe_matches_the_replay() {
+        // The closed form against the per-access replay, on the same
+        // plaintexts: identical observations, cache statistics and
+        // telemetry JSONL after every stage-1–4 observation (interleaved),
+        // over every victim, line width, table alignment, probing round,
+        // flush choice, LRU and FIFO, and both static mappings.
+        let variants = [
+            VictimVariant::Table,
+            VictimVariant::WideLine,
+            VictimVariant::MaskedSchedule,
+            VictimVariant::FullScan,
+            VictimVariant::Preload,
+        ];
+        let remap = cache_sim::IndexMapping::KeyedRemap {
+            key: 0x5eed,
+            epoch_accesses: 0,
+        };
+        let mut configs = 0;
+        for variant in variants {
+            for words in [1, 2, 4, 8] {
+                for sbox_base in [0x400, 0x401, 0x403] {
+                    for probing_round in [1, 2, 5, 8] {
+                        for flush in [true, false] {
+                            for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
+                                for mapping in [IndexMapping::Modulo, remap] {
+                                    let cache = CacheConfig {
+                                        replacement: policy,
+                                        ..CacheConfig::grinch_default()
+                                    };
+                                    let cfg = ObservationConfig {
+                                        cache: cache
+                                            .with_words_per_line(words)
+                                            .with_mapping(mapping),
+                                        layout: TableLayout::new(sbox_base),
+                                        probing_round,
+                                        flush_after_round1: flush,
+                                        strategy: ProbeStrategy::PrimeProbe,
+                                        variant,
+                                    };
+                                    closed_form_matches_replay(cfg);
+                                    configs += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(configs, 1_920);
+    }
+
+    /// Runs 12 Prime+Probe observations (stages 1–4 interleaved) through a
+    /// closed-form oracle and a replaying one, asserting after each that
+    /// they agree.
+    fn closed_form_matches_replay(cfg: ObservationConfig) {
+        let label = format!(
+            "{:?} {}B lines {:#x} round {} flush={} {:?} {}",
+            cfg.variant,
+            cfg.cache.line_bytes,
+            cfg.layout.sbox_base,
+            cfg.probing_round,
+            cfg.flush_after_round1,
+            cfg.cache.replacement,
+            cfg.cache.mapping.name()
+        );
+        let oracle = |closed_form: bool| {
+            let mut oracle = VictimOracle::new(key(), cfg.clone());
+            assert!(oracle.closed_form, "{label}: closed form not selected");
+            oracle.closed_form = closed_form;
+            oracle.set_telemetry(grinch_telemetry::Telemetry::new());
+            oracle
+        };
+        let (mut closed, mut replay) = (oracle(true), oracle(false));
+        for i in 0..12u64 {
+            let pt = cache_sim::splitmix64(i ^ cfg.layout.sbox_base);
+            let stage = 1 + (i % 4) as usize;
+            assert_eq!(
+                closed.observe_stage(pt, stage),
+                replay.observe_stage(pt, stage),
+                "{label}: observation {i}"
+            );
+            assert_eq!(
+                closed.cache.stats(),
+                replay.cache.stats(),
+                "{label}: stats after {i}"
+            );
+            assert_eq!(
+                closed.telemetry.to_jsonl(),
+                replay.telemetry.to_jsonl(),
+                "{label}: telemetry after {i}"
+            );
         }
     }
 

@@ -610,4 +610,33 @@ mod tests {
             Some("release" | "debug")
         ));
     }
+
+    /// `sample_record`'s JSON cut after every `,`, `:`, bracket and
+    /// brace: pieces that recombine into half-valid records.
+    fn record_fragments() -> Vec<String> {
+        let json = sample_record().to_json();
+        json.split_inclusive([',', ':', '{', '}', '[', ']'])
+            .map(str::to_string)
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn from_json_never_panics_on_arbitrary_bytes(
+            bytes in proptest::prelude::prop::collection::vec(proptest::prelude::any::<u8>(), 0..400),
+        ) {
+            let _ = RunRecord::from_json(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn from_json_never_panics_on_record_token_soup(
+            picks in proptest::prelude::prop::collection::vec(0usize..4096, 0..120),
+        ) {
+            let pieces = record_fragments();
+            let soup: String = picks.iter().map(|&i| pieces[i % pieces.len()].as_str()).collect();
+            let _ = RunRecord::from_json(&soup);
+        }
+    }
 }
