@@ -1,6 +1,7 @@
 //! Criterion bench for the oracle's observation path: a loop of 64
 //! `observe_stage` calls, for both probe mechanics, and for Prime+Probe
 //! also against way partitioning and a cache re-keyed every 64 accesses.
+//! The rows observe stage 1 unless their label ends in `stage4`.
 //!
 //! The rows take different paths (DESIGN.md §11, §15):
 //! - `prime_probe` (the undefended cache) takes the closed form: the
@@ -8,8 +9,13 @@
 //!   probe's outcome and cache counters are derived, not replayed.
 //! - `prime_probe_partition` and `prime_probe_rekey64` take the replay:
 //!   each monitored set is primed and probed with one `access_set_from`.
-//! - `flush_reload` replays every victim read, and its reload is one
-//!   `reload_and_flush_from`.
+//! - `flush_reload` and `flush_reload_stage4` (the undefended cache) count
+//!   the flushed prefix: the rounds before the mid-encryption flush only
+//!   mark the lines they read, and their counters and the flush's are
+//!   derived. The observed rounds replay every victim read, and the reload
+//!   is one `reload_and_flush_from`.
+//! - `flush_reload_partition_stage4` replays every round, the flush and
+//!   the reload.
 //!
 //! Set `GRINCH_BENCH_SMOKE=1` to shrink sampling for CI smoke runs.
 
@@ -66,18 +72,32 @@ fn bench_oracle_batch(c: &mut Criterion) {
     smoke(&mut group);
     let pts = plaintexts();
 
-    for (label, strategy, defense) in [
-        ("flush_reload", ProbeStrategy::FlushReload, Defense::None),
-        ("prime_probe", ProbeStrategy::PrimeProbe, Defense::None),
+    for (label, strategy, defense, stage) in [
+        ("flush_reload", ProbeStrategy::FlushReload, Defense::None, 1),
+        (
+            "flush_reload_stage4",
+            ProbeStrategy::FlushReload,
+            Defense::None,
+            4,
+        ),
+        (
+            "flush_reload_partition_stage4",
+            ProbeStrategy::FlushReload,
+            Defense::Partition,
+            4,
+        ),
+        ("prime_probe", ProbeStrategy::PrimeProbe, Defense::None, 1),
         (
             "prime_probe_partition",
             ProbeStrategy::PrimeProbe,
             Defense::Partition,
+            1,
         ),
         (
             "prime_probe_rekey64",
             ProbeStrategy::PrimeProbe,
             Defense::Rekey64,
+            1,
         ),
     ] {
         let mut looped = oracle(strategy, defense);
@@ -85,7 +105,7 @@ fn bench_oracle_batch(c: &mut Criterion) {
             b.iter(|| {
                 let mut lit = 0usize;
                 for &pt in &pts {
-                    lit += looped.observe_stage(black_box(pt), 1).len();
+                    lit += looped.observe_stage(black_box(pt), stage).len();
                 }
                 lit
             })

@@ -695,35 +695,46 @@ impl Cache {
         self.publish_tally(&tally);
     }
 
-    /// Counts `hits`, `misses` and `evictions` that the caller has proven
-    /// some reads would produce, without running the reads: they are added
-    /// to [`CacheStats`] and published as one batch, exactly as
-    /// [`Cache::access_batch_from`] over those reads would count them.
+    /// Counts cache operations that the caller has proven would happen,
+    /// without running them: reads that hit, missed or evicted, and
+    /// whole-cache flushes. They are added to [`CacheStats`] and published
+    /// as one batch, exactly as [`Cache::access_batch_from`] over those
+    /// reads and [`Cache::flush_all`] would count them.
     ///
     /// The cache's contents and replacement order are left as they are.
     /// The precondition is the caller's: the reads are ones whose counts
     /// follow from the cache state without simulating it (the closed-form
-    /// Prime+Probe of DESIGN.md §11), and nothing reads this cache's
-    /// contents afterwards or the reads leave them as they were.
+    /// Prime+Probe and the flushed prefix of DESIGN.md §11), and nothing
+    /// reads this cache's contents afterwards or the operations leave them
+    /// as they were. A counted flush therefore stands for one that finds
+    /// the cache as it is now: empty.
     ///
     /// # Panics
     ///
     /// Panics if the mapping re-keys, since the reads would then move its
-    /// epoch, or if `evictions` exceeds `misses`.
-    pub fn count_proven(&mut self, hits: u64, misses: u64, evictions: u64) {
+    /// epoch, or if `counts.evictions` exceeds `counts.misses`. With debug
+    /// assertions on, also panics if a flush is counted on a cache that
+    /// holds a line.
+    pub fn count_proven(&mut self, counts: ProvenCounts) {
         assert_eq!(
             self.mapper.accesses_before_rekey(),
             u64::MAX,
             "proven counts need a mapping that never re-keys"
         );
-        assert!(evictions <= misses, "only a miss evicts");
-        self.stats.hits += hits;
-        self.stats.misses += misses;
-        self.stats.evictions += evictions;
+        assert!(counts.evictions <= counts.misses, "only a miss evicts");
+        debug_assert!(
+            counts.full_flushes == 0 || self.resident_lines() == 0,
+            "a counted flush must find the cache empty"
+        );
+        self.stats.hits += counts.hits;
+        self.stats.misses += counts.misses;
+        self.stats.evictions += counts.evictions;
+        self.stats.full_flushes += counts.full_flushes;
         self.publish_tally(&BatchTally {
-            hits,
-            misses,
-            evictions,
+            hits: counts.hits,
+            misses: counts.misses,
+            evictions: counts.evictions,
+            full_flushes: counts.full_flushes,
             ..BatchTally::default()
         });
     }
@@ -751,6 +762,9 @@ impl Cache {
                 }
                 if tally.flushes > 0 {
                     b.add(m.flushes, tally.flushes);
+                }
+                if tally.full_flushes > 0 {
+                    b.add(m.full_flushes, tally.full_flushes);
                 }
             }
         }
@@ -935,6 +949,21 @@ impl SetGroup {
     }
 }
 
+/// Cache operations whose outcome a caller has proven, for
+/// [`Cache::count_proven`]: reads that hit, reads that missed, misses that
+/// displaced a valid line, and whole-cache flushes of an empty cache.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProvenCounts {
+    /// Reads that hit.
+    pub hits: u64,
+    /// Reads that missed.
+    pub misses: u64,
+    /// Misses that displaced a valid line.
+    pub evictions: u64,
+    /// Whole-cache flushes.
+    pub full_flushes: u64,
+}
+
 /// Per-batch metric accumulator for the batched entry points: outcomes are
 /// tallied while the accesses run and published in one registry borrow at
 /// the end, so counter totals and histogram aggregates match the looped
@@ -946,6 +975,7 @@ struct BatchTally {
     evictions: u64,
     remaps: u64,
     flushes: u64,
+    full_flushes: u64,
 }
 
 impl BatchTally {
@@ -971,7 +1001,11 @@ impl BatchTally {
 
     #[inline]
     fn is_empty(&self) -> bool {
-        self.hits == 0 && self.misses == 0 && self.flushes == 0 && self.remaps == 0
+        self.hits == 0
+            && self.misses == 0
+            && self.flushes == 0
+            && self.remaps == 0
+            && self.full_flushes == 0
     }
 }
 
@@ -1260,6 +1294,8 @@ mod tests {
     fn proven_counts_match_the_reads_they_stand_for() {
         // A prime into an empty set, a re-read of it and a re-read after
         // one foreign read: 4 + 4 + 1 misses, 4 hits, 1 + 4 evictions.
+        // A flush then empties the cache, so the counted cache, empty all
+        // along, is where the reads and the flush leave it.
         let mut cfg = small_config();
         cfg.ways = 4;
         let group = SetGroup::new(&cfg, &[0, 16, 32, 48]).unwrap();
@@ -1270,9 +1306,15 @@ mod tests {
         cache.access_set_from(&group, Domain::Attacker);
         cache.access(256);
         cache.access_set_from(&group, Domain::Attacker);
+        cache.flush_all();
         let mut counted = Cache::new(cfg);
         counted.set_telemetry(proven.clone(), "cache.l1");
-        counted.count_proven(4, 9, 5);
+        counted.count_proven(ProvenCounts {
+            hits: 4,
+            misses: 9,
+            evictions: 5,
+            full_flushes: 1,
+        });
         assert_eq!(counted.stats(), cache.stats());
         assert_eq!(proven.to_jsonl(), read.to_jsonl());
         assert_eq!(counted.resident_lines(), 0, "contents are left alone");
@@ -1285,7 +1327,21 @@ mod tests {
             key: 0xfeed,
             epoch_accesses: 64,
         });
-        Cache::new(cfg).count_proven(1, 0, 0);
+        Cache::new(cfg).count_proven(ProvenCounts {
+            hits: 1,
+            ..ProvenCounts::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "find the cache empty")]
+    fn proven_flush_refuses_a_resident_line() {
+        let mut cache = Cache::new(small_config());
+        cache.access(0);
+        cache.count_proven(ProvenCounts {
+            full_flushes: 1,
+            ..ProvenCounts::default()
+        });
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod stats;
 pub mod trace;
 
 pub use adapter::CacheObserver;
-pub use cache::{AccessOutcome, Cache, SetGroup, SetGroupError};
+pub use cache::{AccessOutcome, Cache, ProvenCounts, SetGroup, SetGroupError};
 pub use config::{CacheConfig, ConfigError};
 pub use hierarchy::MemoryHierarchy;
 pub use mapper::{splitmix64, Domain, IndexMapping, Mapper, WayPartition};

@@ -264,21 +264,22 @@ impl StageVictim for VictimOracle128 {
     /// happens right after round `stage_round` (see
     /// the GIFT-64 [`crate::oracle::VictimOracle`]). As there, no flush
     /// phase is needed: every observation ends by flushing each monitored
-    /// line right after its reload.
+    /// line right after its reload. The flush and the reload run in the
+    /// attacker domain, so a way partition blinds the probe.
     fn observe_stage(&mut self, plaintext: u128, stage_round: usize) -> ObservedLines {
         self.encryptions += 1;
         let rounds = (stage_round + self.config.probing_round).min(GIFT128_ROUNDS);
         let mut state = plaintext;
         for round in 0..rounds {
             if round == stage_round && self.config.flush_after_round1 {
-                self.cache.flush_all();
+                self.cache.flush_all_from(Domain::Attacker);
             }
             let mut obs = CacheObserver::new(&mut self.cache);
             state = self.cipher.run_single_round(state, round, &mut obs);
         }
         let mut observed = self.empty_lines;
         self.cache
-            .reload_and_flush_from(&self.probe_addrs, Domain::Victim, |a, hit| {
+            .reload_and_flush_from(&self.probe_addrs, Domain::Attacker, |a, hit| {
                 if hit {
                     observed.insert(a);
                 }
@@ -389,6 +390,23 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn way_partition_blinds_the_gift128_probe() {
+        // The flush and the reload are the attacker's: confined to its
+        // ways, they neither clear nor find the victim's lines.
+        let cfg = ObservationConfig {
+            cache: cache_sim::CacheConfig::grinch_default()
+                .with_partition(cache_sim::WayPartition::even_split(16)),
+            ..ObservationConfig::ideal()
+        };
+        let mut oracle = VictimOracle128::new(key(), cfg);
+        for i in 0..8u128 {
+            let pt = i.wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c834);
+            let observed = oracle.observe_stage(pt, 1 + (i % 2) as usize);
+            assert!(observed.is_empty(), "observation {i}: {observed:?}");
         }
     }
 

@@ -9,7 +9,13 @@
 //!
 //! * **Flush+Reload** — the attacker flushes the S-box lines before the
 //!   encryption, then reloads each line and classifies hit/miss by timing.
-//!   It always runs on real cache state.
+//!   The rounds it observes and the reload run on real cache state. With
+//!   "Grinch with Flush" on a cache whose placement never changes (no
+//!   rekeying, no way partition) and whose monitored lines sit in distinct
+//!   sets, the victim's rounds before the mid-encryption flush only mark
+//!   the lines they read: the cache is empty when an observation starts,
+//!   so their counters and the flush's follow without a replay (DESIGN.md
+//!   §11, "Closed-form flushed prefix").
 //! * **Prime+Probe** — the attacker fills the cache sets the S-box maps to
 //!   with its own lines, then re-reads them and infers victim activity from
 //!   its own misses. It never flushes: each probe leaves the sets primed
@@ -31,7 +37,9 @@
 use crate::noise::NoiseChannel;
 use crate::stage::{SilenceModel, StageVictim};
 use crate::target::TargetSpec;
-use cache_sim::{Cache, CacheConfig, Domain, IndexMapping, ReplacementPolicy, SetGroup};
+use cache_sim::{
+    Cache, CacheConfig, Domain, IndexMapping, ProvenCounts, ReplacementPolicy, SetGroup,
+};
 use gift_cipher::countermeasure::{
     masked_round_keys_64, FullScanGift64, PreloadGift64, WideLineGift64,
 };
@@ -358,9 +366,10 @@ impl MemoryObserver for RoundAddrRecorder<'_> {
     }
 }
 
-/// One closed-form Prime+Probe window: the victim reads between two
-/// primes (or a prime and the probe), kept as the monitored lines they
-/// touched and their count. Every read must fall on a monitored line.
+/// One closed-form window of victim reads: between two Prime+Probe primes
+/// (or a prime and the probe), or the Flush+Reload rounds before the
+/// mid-encryption flush, kept as the monitored lines they touched and
+/// their count. Every read must fall on a monitored line.
 #[derive(Clone, Copy, Default)]
 struct ProbeWindow {
     /// Line address (`addr >> shift`) of monitored line 0.
@@ -381,26 +390,42 @@ impl MemoryObserver for ProbeWindow {
     }
 }
 
-/// The cache counters a closed-form Prime+Probe observation adds.
-#[derive(Clone, Copy, Default)]
-struct ProvenCounts {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
+impl ProbeWindow {
+    /// An empty window over `lines`' monitored lines.
+    fn over(lines: &ObservedLines) -> Self {
+        Self {
+            first_line: lines.base >> lines.shift,
+            shift: lines.shift,
+            ..Self::default()
+        }
+    }
 
-impl ProvenCounts {
-    /// Counts `window`'s victim reads and the `ways`-line re-read of each
-    /// of the `monitored` sets that closes it (a re-prime or the probe).
-    /// A set the victim touched held the attacker's `ways` lines, so its
-    /// first read missed and evicted and the rest hit; the re-read then
-    /// misses and evicts `ways` times there, and hits `ways` times in
-    /// every untouched set (DESIGN.md §11, "Closed-form Prime+Probe").
-    fn close(&mut self, window: &ProbeWindow, ways: u64, monitored: u64) {
-        let touched = u64::from(window.lines.count_ones());
-        self.hits += window.reads - touched + ways * (monitored - touched);
-        self.misses += touched + ways * touched;
-        self.evictions += touched + ways * touched;
+    /// Counts the window's reads into sets that held none of its lines
+    /// when it opened, one monitored line to a set: each line's first read
+    /// misses, evicting when `evicts` (a full set), and every other read
+    /// hits.
+    fn count_reads(&self, counts: &mut ProvenCounts, evicts: bool) {
+        let touched = u64::from(self.lines.count_ones());
+        counts.hits += self.reads - touched;
+        counts.misses += touched;
+        if evicts {
+            counts.evictions += touched;
+        }
+    }
+
+    /// Counts the window's reads into primed sets and the `ways`-line
+    /// re-read of each of the `monitored` sets that closes it (a re-prime
+    /// or the probe). A set the victim touched held the attacker's `ways`
+    /// lines, so its first read missed and evicted and the rest hit; the
+    /// re-read then misses and evicts `ways` times there, and hits `ways`
+    /// times in every untouched set (DESIGN.md §11, "Closed-form
+    /// Prime+Probe").
+    fn close_primed(&self, counts: &mut ProvenCounts, ways: u64, monitored: u64) {
+        self.count_reads(counts, true);
+        let touched = u64::from(self.lines.count_ones());
+        counts.hits += ways * (monitored - touched);
+        counts.misses += ways * touched;
+        counts.evictions += ways * touched;
     }
 }
 
@@ -440,6 +465,11 @@ pub struct VictimOracle {
     /// [`VictimOracle::closed_form_applies`]). Set once, from the
     /// configuration.
     closed_form: bool,
+    /// Whether Flush+Reload counts the victim's rounds before the
+    /// mid-encryption flush, and the flush, instead of replaying them (see
+    /// [`VictimOracle::flushed_prefix_applies`]). Set once, from the
+    /// configuration.
+    flushed_prefix: bool,
     telemetry: grinch_telemetry::Telemetry,
     /// `Some` iff telemetry is enabled: the campaign-total counters.
     metrics: Option<AttackMetricHandles>,
@@ -569,6 +599,7 @@ impl VictimOracle {
             ProbeStrategy::PrimeProbe => Self::build_prime_groups(&config, &probe_addrs),
         };
         let closed_form = Self::closed_form_applies(&config, &probe_addrs, &prime_groups);
+        let flushed_prefix = Self::flushed_prefix_applies(&config, &probe_addrs);
         Self {
             cipher,
             cache,
@@ -580,6 +611,7 @@ impl VictimOracle {
             prime_groups,
             primed: false,
             closed_form,
+            flushed_prefix,
             telemetry: grinch_telemetry::Telemetry::disabled(),
             metrics: None,
             stage_metrics: Vec::new(),
@@ -649,20 +681,45 @@ impl VictimOracle {
     /// of a monitored set then leaves it holding the attacker's lines in
     /// prime order, so an observation's cache effect follows from which
     /// monitored lines the victim read in each window (DESIGN.md §11,
-    /// "Closed-form Prime+Probe"). That needs a set placement that never
-    /// changes (no rekeying), the attacker's lines in whole sets (no way
-    /// partition), a replacement order (LRU or FIFO, not `Random`), victim
-    /// reads on monitored lines only (no permutation-table reads), each
-    /// monitored line alone in its set, and no attacker line among them.
+    /// "Closed-form Prime+Probe"). That needs monitored sets whose
+    /// placement never changes (see [`VictimOracle::static_monitored_sets`]),
+    /// a replacement order (LRU or FIFO, not `Random`), and no attacker
+    /// line among the monitored lines.
     fn closed_form_applies(
         config: &ObservationConfig,
         probe_addrs: &[u64],
         prime_groups: &[SetGroup],
     ) -> bool {
+        let foreign_primes = prime_groups
+            .iter()
+            .all(|g| g.addrs().iter().all(|a| !probe_addrs.contains(a)));
+        config.strategy == ProbeStrategy::PrimeProbe
+            && Self::static_monitored_sets(config, probe_addrs)
+            && config.cache.replacement != ReplacementPolicy::Random
+            && foreign_primes
+    }
+
+    /// Whether Flush+Reload under `config` counts its flushed prefix: the
+    /// cache is then empty when an observation starts, so the victim's
+    /// reads before the mid-encryption flush miss once per line and never
+    /// evict, and the flush erases exactly the lines they filled
+    /// (DESIGN.md §11, "Closed-form flushed prefix"). That
+    /// needs the flush and monitored sets whose placement never changes
+    /// (see [`VictimOracle::static_monitored_sets`]), under any
+    /// replacement policy: with no eviction, `Random` draws nothing.
+    fn flushed_prefix_applies(config: &ObservationConfig, probe_addrs: &[u64]) -> bool {
+        config.strategy == ProbeStrategy::FlushReload
+            && config.flush_after_round1
+            && Self::static_monitored_sets(config, probe_addrs)
+    }
+
+    /// Whether every victim read falls on a monitored line, each monitored
+    /// line alone in its set, in sets that never move or split: a set
+    /// placement that never changes (no rekeying), whole sets for both
+    /// domains (no way partition), no permutation-table reads, and the
+    /// monitored lines in distinct sets.
+    fn static_monitored_sets(config: &ObservationConfig, probe_addrs: &[u64]) -> bool {
         let cache = &config.cache;
-        if config.strategy != ProbeStrategy::PrimeProbe {
-            return false;
-        }
         let static_mapping = match cache.mapping {
             IndexMapping::Modulo => true,
             IndexMapping::KeyedRemap { epoch_accesses, .. } => epoch_accesses == 0,
@@ -672,15 +729,10 @@ impl VictimOracle {
                 .iter()
                 .all(|&b| cache.set_of(a) != cache.set_of(b))
         });
-        let foreign_primes = prime_groups
-            .iter()
-            .all(|g| g.addrs().iter().all(|a| !probe_addrs.contains(a)));
         cache.partition.is_none()
             && static_mapping
-            && cache.replacement != ReplacementPolicy::Random
             && !config.layout.emit_perm_reads
             && distinct_sets
-            && foreign_primes
     }
 
     fn run_rounds(&mut self, plaintext: u64, rounds: usize) -> u64 {
@@ -754,8 +806,16 @@ impl VictimOracle {
                 // nothing else touches this cache (`known_pair` runs
                 // unobserved). All probe-side operations run in the
                 // attacker domain: a way partition blocks the reload-hit,
-                // blinding the mechanic entirely.
-                self.run_rounds_observed(plaintext, rounds, flush_before);
+                // blinding the mechanic entirely. Where the flushed prefix
+                // applies, the rounds before the flush and the flush are
+                // counted, not run, and the replay starts at the flush.
+                let (state, first, flush_before) = match flush_before {
+                    Some(flush) if self.flushed_prefix && flush < rounds => {
+                        (self.count_flushed_prefix(plaintext, flush), flush, None)
+                    }
+                    _ => (plaintext, 0, flush_before),
+                };
+                self.run_rounds_observed(state, first..rounds, flush_before);
                 // Reload phase: a hit means the victim brought the line in;
                 // each line is flushed again right after its reload so the
                 // next observation starts cold — one batched cycle. Bit
@@ -780,7 +840,7 @@ impl VictimOracle {
                     self.prime();
                     self.primed = true;
                 }
-                self.run_rounds_observed(plaintext, rounds, flush_before);
+                self.run_rounds_observed(plaintext, 0..rounds, flush_before);
                 // Probe phase: re-read the attacker lines; any miss means
                 // the victim displaced one — its set was touched. No
                 // clean-up follows: under LRU the probe leaves exactly its
@@ -842,40 +902,60 @@ impl VictimOracle {
             counts.misses += ways * monitored;
             self.primed = true;
         }
-        let empty = ProbeWindow {
-            first_line: self.empty_lines.base >> self.empty_lines.shift,
-            shift: self.empty_lines.shift,
-            ..ProbeWindow::default()
-        };
+        let empty = ProbeWindow::over(&self.empty_lines);
         let mut window = empty;
         let mut state = plaintext;
         for round in 0..rounds {
             if flush_before == Some(round) {
                 // The re-prime closes the window it ends.
-                counts.close(&window, ways, monitored);
+                window.close_primed(&mut counts, ways, monitored);
                 window = empty;
             }
             state = run_one_round(&self.cipher, state, round, &mut window);
         }
-        counts.close(&window, ways, monitored);
-        self.cache
-            .count_proven(counts.hits, counts.misses, counts.evictions);
+        window.close_primed(&mut counts, ways, monitored);
+        self.cache.count_proven(counts);
         window.lines
     }
 
-    /// Runs the victim's first `rounds` rounds against the cache; before
-    /// executing round index `flush_before` (0-based) the attacker's
+    /// The closed-form flushed prefix (DESIGN.md §11): runs the victim's
+    /// rounds before round index `flush`, noting only which monitored
+    /// lines they read and how many reads they made, and returns the state
+    /// the flush finds. The reads and the flush are not run. The cache is
+    /// empty when a Flush+Reload observation starts, so the reads of `d`
+    /// distinct lines count `d` misses and the rest hits with no eviction,
+    /// and the flush, which would erase exactly those lines, leaves the
+    /// empty cache the closed form never filled; both are counted with
+    /// [`Cache::count_proven`]. Kept out of line, as
+    /// [`VictimOracle::observe_closed_form`] is.
+    #[inline(never)]
+    fn count_flushed_prefix(&mut self, plaintext: u64, flush: usize) -> u64 {
+        let mut window = ProbeWindow::over(&self.empty_lines);
+        let mut state = plaintext;
+        for round in 0..flush {
+            state = run_one_round(&self.cipher, state, round, &mut window);
+        }
+        let mut counts = ProvenCounts {
+            full_flushes: 1,
+            ..ProvenCounts::default()
+        };
+        window.count_reads(&mut counts, false);
+        self.cache.count_proven(counts);
+        state
+    }
+
+    /// Runs the victim's rounds `rounds` from `state` against the cache;
+    /// before executing round index `flush_before` (0-based) the attacker's
     /// mid-encryption cleanup runs: a cache flush for Flush+Reload, a
     /// re-prime (and no flush) for Prime+Probe.
     fn run_rounds_observed(
         &mut self,
-        plaintext: u64,
-        rounds: usize,
+        mut state: u64,
+        rounds: core::ops::Range<usize>,
         flush_before: Option<usize>,
     ) -> u64 {
-        let mut state = plaintext;
         let mut round_addrs = std::mem::take(&mut self.round_addrs);
-        for round in 0..rounds {
+        for round in rounds {
             if flush_before == Some(round) {
                 match self.config.strategy {
                     // The mid-encryption flush is the *attacker's* cleanup:
@@ -1191,7 +1271,10 @@ mod tests {
         // Flush+Reload observation (and every known pair), flushing the
         // monitored lines from the attacker domain finds nothing — under
         // every arena defense, for every victim variant, with and without
-        // the mid-encryption flush, across stage rounds.
+        // the mid-encryption flush, across stage rounds. Where the flushed
+        // prefix is selected (the flush on the undefended or statically
+        // remapped cache), the cache holds no line at all, which is what
+        // its count rests on.
         let variants = [
             VictimVariant::Table,
             VictimVariant::WideLine,
@@ -1208,24 +1291,79 @@ mod tests {
                         flush_after_round1: flush,
                         ..ObservationConfig::ideal()
                     };
+                    let label = format!("{defense} {variant:?} flush={flush}");
                     let mut oracle = VictimOracle::new(key(), cfg);
+                    let selected = flush && matches!(defense, "baseline" | "static-remap");
+                    assert_eq!(oracle.flushed_prefix, selected, "{label}");
+                    let empty = |oracle: &VictimOracle, what: &str| {
+                        if selected {
+                            assert_eq!(oracle.cache.resident_lines(), 0, "{label} {what}");
+                        }
+                    };
                     let mut observed = ObservedLines::new();
                     for i in 0..24u64 {
                         let pt = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
                         oracle.observe_stage_into(pt, 1 + (i % 3) as usize, &mut observed);
+                        empty(&oracle, &format!("observation {i}"));
                         if i % 5 == 0 {
                             oracle.known_pair(pt);
+                            empty(&oracle, &format!("known pair {i}"));
                         }
                         let mut cache = oracle.cache.clone();
                         assert_eq!(
                             cache.flush_lines_from(&oracle.probe_addrs, Domain::Attacker),
                             0,
-                            "{defense} {variant:?} flush={flush} observation {i}"
+                            "{label} observation {i}"
                         );
                     }
                 }
             }
         }
+        // Permutation-table reads fall outside the monitored lines, so the
+        // reload leaves them resident and the next observation does not
+        // start from an empty cache: the rule refuses them.
+        let perm_reads = ObservationConfig {
+            layout: TableLayout::default().with_perm_reads(),
+            ..ObservationConfig::ideal()
+        };
+        let mut oracle = VictimOracle::new(key(), perm_reads);
+        assert!(!oracle.flushed_prefix, "permutation-table reads");
+        oracle.observe(0x0123_4567_89ab_cdef);
+        assert!(oracle.cache.resident_lines() > 0, "permutation lines stay");
+        // Every policy qualifies; monitored lines that share a set do not,
+        // and neither does Prime+Probe.
+        let fr = |cache: CacheConfig| {
+            VictimOracle::new(
+                key(),
+                ObservationConfig {
+                    cache,
+                    ..ObservationConfig::ideal()
+                },
+            )
+            .flushed_prefix
+        };
+        for replacement in [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+        ] {
+            let cache = CacheConfig {
+                replacement,
+                ..CacheConfig::grinch_default()
+            };
+            assert!(fr(cache), "{replacement:?}");
+        }
+        let shared_sets = CacheConfig {
+            num_sets: 2,
+            ways: 512,
+            ..CacheConfig::grinch_default()
+        };
+        assert!(!fr(shared_sets), "monitored lines share sets");
+        let pp = ObservationConfig {
+            strategy: ProbeStrategy::PrimeProbe,
+            ..ObservationConfig::ideal()
+        };
+        assert!(!VictimOracle::new(key(), pp).flushed_prefix, "Prime+Probe");
     }
 
     /// The four arena defenses over the default geometry.
@@ -1422,6 +1560,47 @@ mod tests {
         // telemetry JSONL after every stage-1–4 observation (interleaved),
         // over every victim, line width, table alignment, probing round,
         // flush choice, LRU and FIFO, and both static mappings.
+        let grid = static_cache_grid(
+            ProbeStrategy::PrimeProbe,
+            &[true, false],
+            &[ReplacementPolicy::Lru, ReplacementPolicy::Fifo],
+        );
+        assert_eq!(grid.len(), 1_920);
+        for cfg in grid {
+            shortcut_matches_replay(cfg, |oracle| &mut oracle.closed_form);
+        }
+    }
+
+    #[test]
+    fn flushed_prefix_matches_the_replay() {
+        // The counted prefix against the replayed one, on the same
+        // plaintexts and with the same checks, over every victim, line
+        // width, table alignment, probing round, LRU, FIFO and `Random`,
+        // and both static mappings, all with the flush.
+        let grid = static_cache_grid(
+            ProbeStrategy::FlushReload,
+            &[true],
+            &[
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Fifo,
+                ReplacementPolicy::Random,
+            ],
+        );
+        assert_eq!(grid.len(), 1_440);
+        for cfg in grid {
+            shortcut_matches_replay(cfg, |oracle| &mut oracle.flushed_prefix);
+        }
+    }
+
+    /// Every victim, 1-, 2-, 4- and 8-word lines, tables at `0x400`,
+    /// `0x401` and `0x403`, and probing rounds 1, 2, 5 and 8, under each
+    /// flush choice of `flushes`, each policy of `policies`, and `Modulo`
+    /// and a static remap, probed by `strategy`.
+    fn static_cache_grid(
+        strategy: ProbeStrategy,
+        flushes: &[bool],
+        policies: &[ReplacementPolicy],
+    ) -> Vec<ObservationConfig> {
         let variants = [
             VictimVariant::Table,
             VictimVariant::WideLine,
@@ -1433,30 +1612,28 @@ mod tests {
             key: 0x5eed,
             epoch_accesses: 0,
         };
-        let mut configs = 0;
+        let mut grid = Vec::new();
         for variant in variants {
             for words in [1, 2, 4, 8] {
                 for sbox_base in [0x400, 0x401, 0x403] {
                     for probing_round in [1, 2, 5, 8] {
-                        for flush in [true, false] {
-                            for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
+                        for &flush in flushes {
+                            for &replacement in policies {
                                 for mapping in [IndexMapping::Modulo, remap] {
                                     let cache = CacheConfig {
-                                        replacement: policy,
+                                        replacement,
                                         ..CacheConfig::grinch_default()
                                     };
-                                    let cfg = ObservationConfig {
+                                    grid.push(ObservationConfig {
                                         cache: cache
                                             .with_words_per_line(words)
                                             .with_mapping(mapping),
                                         layout: TableLayout::new(sbox_base),
                                         probing_round,
                                         flush_after_round1: flush,
-                                        strategy: ProbeStrategy::PrimeProbe,
+                                        strategy,
                                         variant,
-                                    };
-                                    closed_form_matches_replay(cfg);
-                                    configs += 1;
+                                    });
                                 }
                             }
                         }
@@ -1464,15 +1641,17 @@ mod tests {
                 }
             }
         }
-        assert_eq!(configs, 1_920);
+        grid
     }
 
-    /// Runs 12 Prime+Probe observations (stages 1–4 interleaved) through a
-    /// closed-form oracle and a replaying one, asserting after each that
-    /// they agree.
-    fn closed_form_matches_replay(cfg: ObservationConfig) {
+    /// Runs 12 observations (stages 1–4 interleaved, a known pair after
+    /// every third) through an oracle that takes the shortcut `flag`
+    /// selects and one forced through the replay by clearing it, asserting
+    /// after each that they agree.
+    fn shortcut_matches_replay(cfg: ObservationConfig, flag: fn(&mut VictimOracle) -> &mut bool) {
         let label = format!(
-            "{:?} {}B lines {:#x} round {} flush={} {:?} {}",
+            "{:?} {:?} {}B lines {:#x} round {} flush={} {:?} {}",
+            cfg.strategy,
             cfg.variant,
             cfg.cache.line_bytes,
             cfg.layout.sbox_base,
@@ -1481,29 +1660,32 @@ mod tests {
             cfg.cache.replacement,
             cfg.cache.mapping.name()
         );
-        let oracle = |closed_form: bool| {
+        let oracle = |shortcut: bool| {
             let mut oracle = VictimOracle::new(key(), cfg.clone());
-            assert!(oracle.closed_form, "{label}: closed form not selected");
-            oracle.closed_form = closed_form;
+            assert!(*flag(&mut oracle), "{label}: shortcut not selected");
+            *flag(&mut oracle) = shortcut;
             oracle.set_telemetry(grinch_telemetry::Telemetry::new());
             oracle
         };
-        let (mut closed, mut replay) = (oracle(true), oracle(false));
+        let (mut counted, mut replay) = (oracle(true), oracle(false));
         for i in 0..12u64 {
             let pt = cache_sim::splitmix64(i ^ cfg.layout.sbox_base);
             let stage = 1 + (i % 4) as usize;
             assert_eq!(
-                closed.observe_stage(pt, stage),
+                counted.observe_stage(pt, stage),
                 replay.observe_stage(pt, stage),
                 "{label}: observation {i}"
             );
+            if i % 3 == 2 {
+                assert_eq!(counted.known_pair(pt), replay.known_pair(pt));
+            }
             assert_eq!(
-                closed.cache.stats(),
+                counted.cache.stats(),
                 replay.cache.stats(),
                 "{label}: stats after {i}"
             );
             assert_eq!(
-                closed.telemetry.to_jsonl(),
+                counted.telemetry.to_jsonl(),
                 replay.telemetry.to_jsonl(),
                 "{label}: telemetry after {i}"
             );

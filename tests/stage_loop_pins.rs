@@ -2,8 +2,8 @@
 //!
 //! Each table below holds literal values recorded from the attack as it
 //! stands: the GIFT-64 oracle in three settings, the GIFT-128 oracle, the
-//! MPSoC co-simulation and the two-level hierarchy, plus the digest of one
-//! telemetry-enabled recovery's JSONL. A change to the stage schedule, the
+//! MPSoC co-simulation and the two-level hierarchy, plus the digests of
+//! telemetry-enabled recoveries' JSONL. A change to the stage schedule, the
 //! RNG draw order, the crafting or any victim's observation shows up here
 //! as a changed number; on a mismatch the failure message prints the
 //! freshly computed table in the same literal form. The last two tests
@@ -17,6 +17,7 @@ use grinch::gift128::{recover_full_key_128, VictimOracle128};
 use grinch::oracle::{ObservationConfig, ProbeStrategy, VictimOracle, VictimVariant};
 use grinch::platform_attack::recover_round1_on_mpsoc;
 use grinch::stage::{run_stage, silence_window, StageConfig, StageVictim};
+use grinch_obs::history::fingerprint;
 use grinch_telemetry::seed::splitmix64;
 use grinch_telemetry::Telemetry;
 use rand::rngs::StdRng;
@@ -297,6 +298,80 @@ fn recovery_telemetry_jsonl_is_pinned() {
         &[(4_926_369_914_718_140_518, 58_816)],
         &[(fnv1a(jsonl.as_bytes()), jsonl.len())],
     );
+}
+
+/// One traced with-flush Flush+Reload run: its label, the
+/// `grinch_obs::history::fingerprint` of the telemetry JSONL and the
+/// JSONL's length.
+type RowJsonl = (&'static str, &'static str, usize);
+
+#[test]
+fn flush_reload_telemetry_jsonl_is_pinned() {
+    // Full-key recoveries on the ideal cache, a static remap and `Random`
+    // replacement, and one stage 1 at probing round 8, each traced: the
+    // JSONL holds every cache counter, the latency histogram, the stage
+    // feed and the spans, so any change to what an observation counts
+    // moves a digest. The three recoveries agree: with one monitored line
+    // per set, no read evicts, so neither the mapping nor the policy can
+    // show.
+    const PINS: [RowJsonl; 4] = [
+        ("ideal", "ec5fc30111ada750", 62_199),
+        ("static-remap", "ec5fc30111ada750", 62_199),
+        ("random", "ec5fc30111ada750", 62_199),
+        ("stage 1, probing round 8", "72380d70f7716b2a", 20_320),
+    ];
+    let base = cache_sim::CacheConfig::grinch_default();
+    let recoveries = [
+        ("ideal", base),
+        (
+            "static-remap",
+            base.with_mapping(cache_sim::IndexMapping::KeyedRemap {
+                key: 0x5eed,
+                epoch_accesses: 0,
+            }),
+        ),
+        (
+            "random",
+            cache_sim::CacheConfig {
+                replacement: cache_sim::ReplacementPolicy::Random,
+                ..base
+            },
+        ),
+    ];
+    let secret = keys()[1];
+    let digest = |label: &'static str, tel: &Telemetry| {
+        let jsonl = tel.to_jsonl();
+        (label, fingerprint(&[&jsonl]), jsonl.len())
+    };
+    let mut got: Vec<(&'static str, String, usize)> = recoveries
+        .into_iter()
+        .map(|(label, cache)| {
+            let config = ObservationConfig {
+                cache,
+                ..ObservationConfig::ideal()
+            };
+            let tel = Telemetry::new();
+            let mut oracle = VictimOracle::new_seeded(secret, config, 7);
+            oracle.set_telemetry(tel.clone());
+            let outcome = recover_full_key(&mut oracle, &AttackConfig::new());
+            assert_eq!(outcome.key, Some(secret), "{label}");
+            digest(label, &tel)
+        })
+        .collect();
+    let tel = Telemetry::new();
+    let mut oracle = VictimOracle::new(secret, ObservationConfig::ideal().with_probing_round(8));
+    oracle.set_telemetry(tel.clone());
+    let stage = StageConfig::new();
+    let mut rng = StdRng::seed_from_u64(stage.seed);
+    let result = run_stage(&mut oracle, &[], 1, &stage, &mut rng);
+    let truth = gift_cipher::Gift64::new(secret).round_keys()[0];
+    assert_eq!(result.round_key(), Some(truth));
+    got.push(digest("stage 1, probing round 8", &tel));
+    let expected: Vec<(&'static str, String, usize)> = PINS
+        .iter()
+        .map(|&(label, hash, len)| (label, hash.to_owned(), len))
+        .collect();
+    check("Flush+Reload JSONL digests", &expected, &got);
 }
 
 /// One Prime+Probe stage 1 under an arena defense: the defense, the
